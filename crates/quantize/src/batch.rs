@@ -30,18 +30,18 @@
 //!
 //! ## Tiled (and optionally parallel) conv execution
 //!
-//! Conv segments execute in **image-group tiles** ([`tile_images`]): fill
+//! Conv segments execute in **image-group tiles** (`tile_images`): fill
 //! one tile's pair columns into a tile-local buffer, MAC it into its lane
 //! window of the batch-planar output, repeat. The per-tile column working
-//! set is capped at [`TILE_BYTES`] regardless of batch size — growing the
-//! batch without tiling grew every pair row's stride *and* put the whole
-//! batch's columns between fill and MAC, which is why batch 12 ran slower
-//! per image than batch 3 before this existed (DESIGN.md §"Intra-batch
-//! parallelism and stream encoding").
+//! set is capped at `TILE_BYTES` (256 KB) regardless of batch size —
+//! growing the batch without tiling grew every pair row's stride *and* put
+//! the whole batch's columns between fill and MAC, which is why batch 12
+//! ran slower per image than batch 3 before this existed (DESIGN.md
+//! §"Intra-batch parallelism and stream encoding").
 //!
 //! With [`BatchScratch::set_pool`], tiles additionally become the unit of
 //! **intra-batch parallelism**: pool threads steal tiles from a shared
-//! cursor and work out of per-thread arenas ([`ParArena`]), so nothing
+//! cursor and work out of per-thread arenas (`ParArena`), so nothing
 //! allocates or shares inside a segment. Pool segments chunk planes, Add
 //! segments chunk elements/channels; GAP, dense and logits tails stay
 //! serial (per-image small). Each output element's accumulation walks the
@@ -63,7 +63,7 @@
 //! another. A DSE walking a τ trie keeps a small stack of checkpoints and
 //! re-runs only the segments below the first layer whose τ changed.
 //! [`QuantModel::batch_fill_conv_cols`] additionally splits out the
-//! τ-independent im2col/pair-interleave of a segment so siblings in the
+//! τ-independent pair-column fill of a segment so siblings in the
 //! trie share one column fill.
 //!
 //! Every layout change is value-preserving and the MAC/requantize
@@ -75,7 +75,7 @@
 //! `tests/batched_forward.rs` and `tests/prefix_forward.rs`.
 
 use crate::compiled::{
-    conv_forward_pairs_window, fill_centered_t, gap_forward_planar, planar_to_nhwc_pitched,
+    conv_forward_pairs_window, fill_pair_cols, gap_forward_planar, planar_to_nhwc_pitched,
     pool_forward_planar, simd_level, CompiledConv, CompiledMasks,
 };
 use crate::forward::{argmax_i8, dense_forward, gap_forward_nhwc, pool_forward};
@@ -88,7 +88,6 @@ use crate::qmodel::{QAdd, QConv, QuantModel};
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tinytensor::im2col::{fill_im2col_pairs_planar_pitched, interleave_pair_rows};
 
 /// Column working-set budget of one image-group tile (i16 pair-column
 /// bytes). A quarter of the builder Xeon's 1 MB L2: the tile's columns,
@@ -98,23 +97,8 @@ use tinytensor::im2col::{fill_im2col_pairs_planar_pitched, interleave_pair_rows}
 /// Chosen by interleaved A/B sweep (96K–384K): 256K is the largest budget
 /// whose batch-12 per-image throughput stays ≥ batch 3, while small
 /// batches still run un-tiled (see DESIGN.md "Intra-batch parallelism and
-/// stream encoding"). `ATAMAN_TILE_BYTES` overrides for A/B runs (`0` =
-/// no tiling: one whole-batch tile, the pre-tiling executor shape).
+/// stream encoding").
 const TILE_BYTES: usize = 256 * 1024;
-
-/// The effective tile budget (`TILE_BYTES` unless overridden by the
-/// `ATAMAN_TILE_BYTES` env var; `0` disables tiling).
-fn tile_bytes() -> usize {
-    static BYTES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *BYTES.get_or_init(|| match std::env::var("ATAMAN_TILE_BYTES") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => usize::MAX,
-            Ok(n) => n,
-            Err(_) => TILE_BYTES,
-        },
-        Err(_) => TILE_BYTES,
-    })
-}
 
 /// Elementwise work below which a parallel dispatch costs more than it
 /// saves (condvar wake + join ≈ a few µs ≈ tens of KB of byte traffic).
@@ -130,7 +114,7 @@ pub(crate) fn tile_images(
     threads: usize,
 ) -> usize {
     let per_image = pair_rows * 2 * positions * std::mem::size_of::<i16>();
-    let mut g = (tile_bytes() / per_image.max(1)).clamp(1, batch.max(1));
+    let mut g = (TILE_BYTES / per_image.max(1)).clamp(1, batch.max(1));
     if threads > 1 {
         g = g.min(batch.div_ceil(threads)).max(1);
     }
@@ -141,8 +125,8 @@ pub(crate) fn tile_images(
 /// from the plan's extents ([`BatchScratch::set_pool`]) so nothing
 /// allocates or shares inside a segment.
 struct ParArena {
-    /// NHWC staging rows for one image's column fill.
-    rows: Vec<i16>,
+    /// One NHWC image staged planar for an NHWC-input conv's column fill.
+    stage: Vec<i8>,
     /// Tile-local pair-interleaved columns.
     pcolt: Vec<i16>,
     /// Lane accumulators for one tile.
@@ -187,8 +171,8 @@ pub struct BatchScratch {
     /// Ping-pong activation buffers, `max_batch ×` the largest activation.
     act_a: Vec<i8>,
     act_b: Vec<i8>,
-    /// Natural transposed-row staging for one image's column fill.
-    rows: Vec<i16>,
+    /// One NHWC image staged planar for an NHWC-input conv's column fill.
+    stage: Vec<i8>,
     /// Batched pair-interleaved columns (`max_batch ×` the largest layer).
     pcolt: Vec<i16>,
     /// Lane accumulators.
@@ -218,7 +202,7 @@ impl BatchScratch {
         assert!(max_batch >= 1, "max_batch must be at least 1");
         let plan = ExecPlan::lower(model);
         let max_act = plan.max_act();
-        let max_rows = plan.max_cols();
+        let max_stage = plan.max_stage();
         let max_pcolt = plan.max_pair_colt();
         let max_positions = plan.max_positions();
         let stash: Vec<Vec<i8>> = plan
@@ -231,7 +215,7 @@ impl BatchScratch {
             plan,
             act_a: vec![0; max_batch * max_act],
             act_b: vec![0; max_batch * max_act],
-            rows: vec![0; max_rows],
+            stage: vec![0; max_stage],
             pcolt: vec![0; max_batch * max_pcolt],
             acc: vec![0; (max_batch * max_positions).max(1)],
             nhwc: vec![0; max_act],
@@ -251,7 +235,7 @@ impl BatchScratch {
         if let Some(p) = &pool {
             let threads = p.threads();
             if threads > 1 {
-                let rows_len = self.plan.max_cols();
+                let stage_len = self.plan.max_stage();
                 let (mut pcolt_len, mut acc_len) = (0usize, 1usize);
                 for k in 0..self.plan.n_convs() {
                     let seg = self.plan.conv_segment(k);
@@ -265,7 +249,7 @@ impl BatchScratch {
                 self.arenas = (0..threads)
                     .map(|_| {
                         ArenaCell(UnsafeCell::new(ParArena {
-                            rows: vec![0; rows_len],
+                            stage: vec![0; stage_len],
                             pcolt: vec![0; pcolt_len],
                             acc: vec![0; acc_len],
                         }))
@@ -295,7 +279,7 @@ impl BatchScratch {
     pub fn resident_bytes(&self) -> u64 {
         (self.act_a.len()
             + self.act_b.len()
-            + 2 * self.rows.len()
+            + self.stage.len()
             + 2 * self.pcolt.len()
             + 4 * self.acc.len()
             + self.nhwc.len()
@@ -311,7 +295,7 @@ impl BatchScratch {
                 .map(|a| {
                     // SAFETY: `&self` — no pool dispatch is live.
                     let a = unsafe { &*a.0.get() };
-                    (2 * a.rows.len() + 2 * a.pcolt.len() + 4 * a.acc.len()) as u64
+                    (a.stage.len() + 2 * a.pcolt.len() + 4 * a.acc.len()) as u64
                 })
                 .sum::<u64>()
     }
@@ -520,105 +504,6 @@ fn add_join_batched_par(
     }
 }
 
-/// Fill conv `c`'s **full-batch** pair-interleaved columns from a batched
-/// source activation buffer (`planar_in` per the plan's fill strategy) —
-/// the τ-independent front half of a checkpoint segment, used by
-/// [`QuantModel::batch_fill_conv_cols`] so trie siblings share one fill.
-/// (In-segment fills go through the tile-local [`fill_tile_cols`]
-/// instead.)
-fn fill_conv_cols(
-    c: &QConv,
-    batch: usize,
-    src: &[i8],
-    cur_len: usize,
-    planar_in: bool,
-    rows: &mut [i16],
-    pcolt: &mut [i16],
-) {
-    let positions = c.geom.out_positions();
-    let patch = c.geom.patch_len();
-    let lanes = batch * positions;
-    for b in 0..batch {
-        if planar_in {
-            // Image b's channel planes sit batch planes apart starting
-            // at plane b; fused fill writes pair rows direct.
-            let in_pos = c.geom.in_h * c.geom.in_w;
-            let ch = c.geom.in_c;
-            let plane_pitch = batch * in_pos;
-            let view = &src[b * in_pos..(ch - 1) * plane_pitch + b * in_pos + in_pos];
-            let zp = c.in_qp.zero_point;
-            let pad = c.centered_pad();
-            fill_im2col_pairs_planar_pitched(
-                view,
-                &c.geom,
-                zp as i16,
-                pad,
-                pcolt,
-                lanes,
-                b * positions,
-                plane_pitch,
-            );
-        } else {
-            let rows = &mut rows[..positions * patch];
-            fill_centered_t(c, &src[b * cur_len..(b + 1) * cur_len], rows);
-            interleave_pair_rows(rows, positions, patch, pcolt, lanes, b * positions);
-        }
-    }
-}
-
-/// Fill the pair-interleaved columns of images `[b_lo, b_hi)` of a conv
-/// segment into a **tile-local** buffer (`(b_hi - b_lo) · positions`
-/// lanes). Reads stay full-batch pitched (the source layout is fixed);
-/// only the destination columns are tile-local, which is what keeps the
-/// MAC working set batch-size-independent.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fill_tile_cols(
-    c: &QConv,
-    seg: &ConvSegment,
-    batch: usize,
-    src: &[i8],
-    cur_len: usize,
-    b_lo: usize,
-    b_hi: usize,
-    rows: &mut [i16],
-    pcolt: &mut [i16],
-) {
-    let positions = seg.positions;
-    let tile_lanes = (b_hi - b_lo) * positions;
-    for b in b_lo..b_hi {
-        if seg.planar_in {
-            // Image b's channel planes sit batch planes apart starting at
-            // plane b; fused fill writes pair rows direct.
-            let in_pos = seg.geom.in_h * seg.geom.in_w;
-            let ch = seg.geom.in_c;
-            let plane_pitch = batch * in_pos;
-            let view = &src[b * in_pos..(ch - 1) * plane_pitch + b * in_pos + in_pos];
-            fill_im2col_pairs_planar_pitched(
-                view,
-                &c.geom,
-                c.in_qp.zero_point as i16,
-                c.centered_pad(),
-                pcolt,
-                tile_lanes,
-                (b - b_lo) * positions,
-                plane_pitch,
-            );
-        } else {
-            let rows = &mut rows[..positions * seg.patch];
-            fill_centered_t(c, &src[b * cur_len..(b + 1) * cur_len], rows);
-            interleave_pair_rows(
-                rows,
-                positions,
-                seg.patch,
-                pcolt,
-                tile_lanes,
-                (b - b_lo) * positions,
-            );
-        }
-    }
-}
-
 /// The tiled conv segment executor every batched driver shares: walk the
 /// batch in image-group tiles ([`tile_images`]) — fill a tile's columns,
 /// MAC the tile through [`conv_forward_pairs_window`] into its lane window
@@ -645,10 +530,9 @@ fn conv_exec_tiled(
     seg: &ConvSegment,
     batch: usize,
     src: &[i8],
-    cur_len: usize,
     prefilled: Option<&[i16]>,
     par: Option<(&BatchPool, &[ArenaCell])>,
-    rows: &mut [i16],
+    stage: &mut [i8],
     pcolt: &mut [i16],
     acc: &mut [i32],
     dst: &mut [i8],
@@ -699,15 +583,13 @@ fn conv_exec_tiled(
                     },
                     None => {
                         let n_t = seg.pair_rows * 2 * (w_hi - w_lo);
-                        fill_tile_cols(
+                        fill_pair_cols(
                             c,
-                            seg,
+                            seg.planar_in,
                             batch,
                             src,
-                            cur_len,
-                            b_lo,
-                            b_hi,
-                            &mut arena.rows,
+                            b_lo..b_hi,
+                            &mut arena.stage,
                             &mut arena.pcolt[..n_t],
                         );
                         // SAFETY: disjoint tile windows, per the argument
@@ -759,15 +641,13 @@ fn conv_exec_tiled(
                 let b_hi = (b_lo + g).min(batch);
                 let (w_lo, w_hi) = (b_lo * positions, b_hi * positions);
                 let n_t = seg.pair_rows * 2 * (w_hi - w_lo);
-                fill_tile_cols(
+                fill_pair_cols(
                     c,
-                    seg,
+                    seg.planar_in,
                     batch,
                     src,
-                    cur_len,
-                    b_lo,
-                    b_hi,
-                    rows,
+                    b_lo..b_hi,
+                    stage,
                     &mut pcolt[..n_t],
                 );
                 // SAFETY: sequential tiles, disjoint lane windows, sole
@@ -815,7 +695,7 @@ struct BatchBackend<'r, 'm> {
     dense_streams: &'r [CompiledConv],
     act_a: &'r mut Vec<i8>,
     act_b: &'r mut Vec<i8>,
-    rows: &'r mut Vec<i16>,
+    stage: &'r mut Vec<i8>,
     pcolt: &'r mut Vec<i16>,
     acc: &'r mut Vec<i32>,
     nhwc: &'r mut Vec<i8>,
@@ -857,10 +737,9 @@ impl ExecBackend for BatchBackend<'_, '_> {
             seg,
             batch,
             src,
-            self.cur_len,
             prefilled,
             self.par,
-            self.rows,
+            self.stage,
             self.pcolt,
             self.acc,
             &mut dst[..batch * seg.out_len],
@@ -1263,15 +1142,11 @@ impl QuantModel {
         };
         let in_len = self.input_shape.item_len();
         assert_eq!(qinputs.len(), batch * in_len, "input length mismatch");
-        let positions = c.geom.out_positions();
-        let patch = c.patch_len();
-        let lanes = batch * positions;
-        let mut rows = vec![0i16; positions * patch];
-        let mut pcolt = vec![0i16; patch.div_ceil(2) * 2 * lanes];
-        for b in 0..batch {
-            fill_centered_t(c, &qinputs[b * in_len..(b + 1) * in_len], &mut rows);
-            interleave_pair_rows(&rows, positions, patch, &mut pcolt, lanes, b * positions);
-        }
+        let lanes = batch * c.geom.out_positions();
+        let mut stage = vec![0i8; in_len];
+        let mut pcolt = vec![0i16; c.patch_len().div_ceil(2) * 2 * lanes];
+        // The model input arrives NHWC: the first conv stages it planar.
+        fill_pair_cols(c, false, batch, qinputs, 0..batch, &mut stage, &mut pcolt);
         Some(pcolt)
     }
 
@@ -1371,7 +1246,7 @@ impl QuantModel {
             plan,
             act_a,
             act_b,
-            rows,
+            stage,
             pcolt,
             acc,
             nhwc,
@@ -1393,7 +1268,7 @@ impl QuantModel {
             dense_streams,
             act_a,
             act_b,
-            rows,
+            stage,
             pcolt,
             acc,
             nhwc,
@@ -1474,17 +1349,15 @@ impl QuantModel {
         assert!(!ckpt.complete, "checkpoint already past the final layer");
         let seg = s.plan.conv_segment(ckpt.conv_ordinal);
         let c = self.conv_at(seg.layer_idx);
-        let lanes = ckpt.batch * seg.positions;
-        let n = seg.pair_rows * 2 * lanes;
-        let planar_in = seg.planar_in;
+        let n = seg.pair_rows * 2 * ckpt.batch * seg.positions;
         out.resize(n, 0);
-        fill_conv_cols(
+        fill_pair_cols(
             c,
+            seg.planar_in,
             ckpt.batch,
             &ckpt.act,
-            ckpt.cur_len,
-            planar_in,
-            &mut s.rows,
+            0..ckpt.batch,
+            &mut s.stage,
             &mut out[..],
         );
     }
@@ -1537,7 +1410,7 @@ impl QuantModel {
             // parallel) exactly like the monolithic driver; the sequential
             // cut is *at* the checkpoint boundary, after the join below.
             let BatchScratch {
-                rows,
+                stage,
                 pcolt,
                 acc,
                 dense_streams,
@@ -1556,10 +1429,9 @@ impl QuantModel {
                 &seg,
                 batch,
                 &ckpt.act,
-                ckpt.cur_len,
                 prefilled,
                 par,
-                rows,
+                stage,
                 pcolt,
                 acc,
                 &mut out.act[..],
@@ -1724,6 +1596,42 @@ mod tests {
             let want = q.forward_quantized(&flat[b * in_len..(b + 1) * in_len], None);
             let out_len = want.len();
             assert_eq!(&got[b * out_len..(b + 1) * out_len], &want[..], "image {b}");
+        }
+    }
+
+    #[test]
+    fn conv0_column_producers_agree() {
+        // Every conv-0 column producer — the DSE cache (batched and
+        // per-image) and the checkpoint fill at the start checkpoint —
+        // yields the same pair columns, lane window for lane window. The
+        // 3-channel input puts pairs across kernel positions.
+        let (q, data) = quantized_micro(308);
+        let seg = ExecPlan::lower(&q).conv_segment(0).clone();
+        assert!(!seg.planar_in && seg.geom.in_c == 3);
+        let (positions, pair_rows) = (seg.positions, seg.pair_rows);
+        let in_len = q.input_shape.item_len();
+        let mut bs = BatchScratch::for_model(&q, 12);
+        let mut cols = Vec::new();
+        for batch in [12usize, 5] {
+            let flat = stacked_qinputs(&q, &data, batch);
+            let cached = q.conv0_pair_cols_batch(&flat, batch).expect("conv first");
+            let start = q.batch_start(&flat, batch, &mut bs);
+            q.batch_fill_conv_cols(&start, &mut bs, &mut cols);
+            assert_eq!(cols, cached, "batch {batch}: checkpoint fill vs cache");
+            let lanes = batch * positions;
+            for b in 0..batch {
+                let one = q
+                    .conv0_pair_cols(&flat[b * in_len..(b + 1) * in_len])
+                    .expect("conv first");
+                for r in 0..pair_rows {
+                    let window = &cached[r * 2 * lanes + 2 * b * positions..][..2 * positions];
+                    assert_eq!(
+                        window,
+                        &one[r * 2 * positions..(r + 1) * 2 * positions],
+                        "batch {batch}, image {b}, pair row {r}"
+                    );
+                }
+            }
         }
     }
 

@@ -17,10 +17,12 @@
 //! The paper's generated MCU code feeds SMLAD with offline-packed weight
 //! pairs ([`tinytensor::simd::pack_weight_pairs`]). The host kernel adopts
 //! the same pairing at SIMD width: columns are stored **pair-interleaved**
-//! ([`tinytensor::im2col::interleave_pair_rows`]) — pair row `i` holds
-//! patch elements `2i` and `2i+1` elementwise interleaved across all
-//! lanes — and each stream entry broadcasts one `(w_even, w_odd)` pair
-//! against its pair row, so
+//! — pair row `i` holds patch elements `2i` and `2i+1` elementwise
+//! interleaved across all lanes, written in one pass by
+//! [`tinytensor::im2col::fill_im2col_pairs_planar_pitched`] for every conv
+//! (an NHWC-input conv stages each image planar first, see
+//! `fill_pair_cols`) — and each stream entry broadcasts one
+//! `(w_even, w_odd)` pair against its pair row, so
 //!
 //! * one AVX-512 VNNI `vpdpwssd` (or AVX2 `vpmaddwd`, or two scalar
 //!   multiplies — runtime-dispatched, all bit-exact integer math) consumes
@@ -56,9 +58,7 @@ use crate::plan::{
 use crate::qmodel::{QConv, QLayer, QuantModel};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
-use tinytensor::im2col::{
-    fill_im2col_centered_t, fill_im2col_pairs_planar_pitched, interleave_pair_rows,
-};
+use tinytensor::im2col::{fill_im2col_pairs_nhwc, fill_im2col_pairs_planar_pitched};
 use tinytensor::quant::avg_round;
 
 /// One conv layer's mask compiled into compact retained weight-pair streams.
@@ -333,37 +333,6 @@ pub(crate) fn available_simd_levels() -> Vec<SimdLevel> {
     levels
 }
 
-/// Kernel micro-optimization toggles, read once per process. Defaults are
-/// the adopted (A/B-winning) configuration; the environment overrides
-/// (`ATAMAN_KERNEL_PREFETCH=0/1`, `ATAMAN_KERNEL_SPLIT_CHAINS=0/1`) exist
-/// so `batch_micro` can interleave on/off runs in one binary on the noisy
-/// single-CPU builder — every toggle is bit-exact, only speed differs.
-#[cfg(target_arch = "x86_64")]
-pub(crate) struct KernelTuning {
-    /// Software-prefetch the next stream entries' pair rows during MAC
-    /// loops.
-    pub prefetch: bool,
-    /// Split the VNNI quartet's serial `vpdpwssd` dependency chain into two
-    /// independent chains joined by one add (wrapping adds commute, so any
-    /// accumulation reorder is bit-exact).
-    pub split_chains: bool,
-}
-
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn kernel_tuning() -> &'static KernelTuning {
-    static TUNING: OnceLock<KernelTuning> = OnceLock::new();
-    TUNING.get_or_init(|| {
-        let flag = |name: &str, default: bool| match std::env::var(name) {
-            Ok(v) => v != "0",
-            Err(_) => default,
-        };
-        KernelTuning {
-            prefetch: flag("ATAMAN_KERNEL_PREFETCH", true),
-            split_chains: flag("ATAMAN_KERNEL_SPLIT_CHAINS", true),
-        }
-    })
-}
-
 /// Apply one channel's pair stream to `acc[..b]` over lanes
 /// `[p0, p0 + b)` — portable reference loop. `pcolt` is the
 /// pair-interleaved column buffer with `lanes` lanes per pair row; `dx` is
@@ -414,7 +383,6 @@ unsafe fn apply_stream_avx2(
     unsafe {
         let b = acc.len();
         let n = dx.len();
-        let prefetch = kernel_tuning().prefetch;
         let wpair = |j: usize| -> i32 {
             (((w[2 * j + 1] as i16 as u16 as u32) << 16) | (w[2 * j] as i16 as u16 as u32)) as i32
         };
@@ -425,7 +393,7 @@ unsafe fn apply_stream_avx2(
             let r1i = r0i + dx[j + 1] as usize;
             let r0 = pcolt.as_ptr().add(r0i * 2 * lanes + 2 * p0);
             let r1 = pcolt.as_ptr().add(r1i * 2 * lanes + 2 * p0);
-            if prefetch && j + 4 <= n {
+            if j + 4 <= n {
                 // Next pass's pair rows at this lane window's base — hides the
                 // first-touch miss of each row behind the current pass's MACs.
                 let n0 = r1i + dx[j + 2] as usize;
@@ -510,7 +478,6 @@ unsafe fn apply_stream_vnni(
     unsafe {
         let b = acc.len();
         let n = dx.len();
-        let tuning = kernel_tuning();
         let wpair = |j: usize| -> i32 {
             (((w[2 * j + 1] as i16 as u16 as u32) << 16) | (w[2 * j] as i16 as u16 as u32)) as i32
         };
@@ -523,7 +490,7 @@ unsafe fn apply_stream_vnni(
             let r3i = r2i + dx[j + 3] as usize;
             let row = |i: usize| pcolt.as_ptr().add(i * 2 * lanes + 2 * p0);
             let (r0, r1, r2, r3) = (row(r0i), row(r1i), row(r2i), row(r3i));
-            if tuning.prefetch && j + 8 <= n {
+            if j + 8 <= n {
                 // Next quartet's pair rows at this lane window's base — the
                 // deltas make their addresses one add each.
                 let mut pi = r3i;
@@ -537,36 +504,22 @@ unsafe fn apply_stream_vnni(
             let wv2 = _mm512_set1_epi32(wpair(j + 2));
             let wv3 = _mm512_set1_epi32(wpair(j + 3));
             let mut p = 0usize;
-            if tuning.split_chains {
-                // Two independent 2-deep `vpdpwssd` chains joined by one add
-                // instead of one 4-deep serial chain: wrapping adds commute, so
-                // the regroup is bit-exact, and the chains pipeline across
-                // ports instead of serializing on the accumulator.
-                let zero = _mm512_setzero_si512();
-                while p + 16 <= b {
-                    let a0 = _mm512_loadu_si512(r0.add(2 * p) as *const _);
-                    let a1 = _mm512_loadu_si512(r1.add(2 * p) as *const _);
-                    let a2 = _mm512_loadu_si512(r2.add(2 * p) as *const _);
-                    let a3 = _mm512_loadu_si512(r3.add(2 * p) as *const _);
-                    let accv = _mm512_loadu_si512(acc.as_ptr().add(p) as *const _);
-                    let c0 = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(accv, a0, wv0), a1, wv1);
-                    let c1 = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(zero, a2, wv2), a3, wv3);
-                    let s = _mm512_add_epi32(c0, c1);
-                    _mm512_storeu_si512(acc.as_mut_ptr().add(p) as *mut _, s);
-                    p += 16;
-                }
-            } else {
-                while p + 16 <= b {
-                    let a0 = _mm512_loadu_si512(r0.add(2 * p) as *const _);
-                    let a1 = _mm512_loadu_si512(r1.add(2 * p) as *const _);
-                    let a2 = _mm512_loadu_si512(r2.add(2 * p) as *const _);
-                    let a3 = _mm512_loadu_si512(r3.add(2 * p) as *const _);
-                    let accv = _mm512_loadu_si512(acc.as_ptr().add(p) as *const _);
-                    let s01 = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(accv, a0, wv0), a1, wv1);
-                    let s = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(s01, a2, wv2), a3, wv3);
-                    _mm512_storeu_si512(acc.as_mut_ptr().add(p) as *mut _, s);
-                    p += 16;
-                }
+            // Two independent 2-deep `vpdpwssd` chains joined by one add
+            // instead of one 4-deep serial chain: wrapping adds commute, so
+            // the regroup is bit-exact, and the chains pipeline across ports
+            // instead of serializing on the accumulator.
+            let zero = _mm512_setzero_si512();
+            while p + 16 <= b {
+                let a0 = _mm512_loadu_si512(r0.add(2 * p) as *const _);
+                let a1 = _mm512_loadu_si512(r1.add(2 * p) as *const _);
+                let a2 = _mm512_loadu_si512(r2.add(2 * p) as *const _);
+                let a3 = _mm512_loadu_si512(r3.add(2 * p) as *const _);
+                let accv = _mm512_loadu_si512(acc.as_ptr().add(p) as *const _);
+                let c0 = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(accv, a0, wv0), a1, wv1);
+                let c1 = _mm512_dpwssd_epi32(_mm512_dpwssd_epi32(zero, a2, wv2), a3, wv3);
+                let s = _mm512_add_epi32(c0, c1);
+                _mm512_storeu_si512(acc.as_mut_ptr().add(p) as *mut _, s);
+                p += 16;
             }
             while p < b {
                 let scalar_pair = |r: *const i16, jj: usize| -> i32 {
@@ -856,18 +809,7 @@ impl QuantModel {
     ///
     /// Returns `None` when the model does not start with a convolution.
     pub fn conv0_pair_cols(&self, qinput: &[i8]) -> Option<Vec<i16>> {
-        match self.layers.first() {
-            Some(QLayer::Conv(c)) => {
-                let positions = c.geom.out_positions();
-                let patch = c.patch_len();
-                let mut rows = vec![0i16; positions * patch];
-                fill_centered_t(c, qinput, &mut rows);
-                let mut pcolt = vec![0i16; patch.div_ceil(2) * 2 * positions];
-                interleave_pair_rows(&rows, positions, patch, &mut pcolt, positions, 0);
-                Some(pcolt)
-            }
-            _ => None,
-        }
+        self.conv0_pair_cols_batch(qinput, 1)
     }
 
     /// Forward pass with compiled masks, reusing caller scratch and an
@@ -912,7 +854,7 @@ impl QuantModel {
             plan,
             act_a,
             act_b,
-            colt,
+            stage,
             pcolt,
             acc,
             nhwc,
@@ -927,7 +869,7 @@ impl QuantModel {
             dense_streams,
             act_a,
             act_b,
-            colt,
+            stage,
             pcolt,
             acc,
             nhwc,
@@ -976,7 +918,7 @@ struct CompiledBackend<'r, 'm> {
     dense_streams: &'r [CompiledConv],
     act_a: &'r mut Vec<i8>,
     act_b: &'r mut Vec<i8>,
-    colt: &'r mut Vec<i16>,
+    stage: &'r mut Vec<i8>,
     pcolt: &'r mut Vec<i16>,
     acc: &'r mut Vec<i32>,
     nhwc: &'r mut Vec<i8>,
@@ -1012,34 +954,15 @@ impl ExecBackend for CompiledBackend<'_, '_> {
                 cached
             }
             _ => {
-                if seg.planar_in {
-                    // Planar source: fused fill writes pair rows directly,
-                    // no natural-row staging.
-                    let in_pos = seg.geom.in_h * seg.geom.in_w;
-                    let zp = c.in_qp.zero_point;
-                    let pad = c.centered_pad();
-                    fill_im2col_pairs_planar_pitched(
-                        &src[..self.cur_len],
-                        &c.geom,
-                        zp as i16,
-                        pad,
-                        &mut self.pcolt[..n],
-                        positions,
-                        0,
-                        in_pos,
-                    );
-                } else {
-                    let rows = &mut self.colt[..positions * seg.patch];
-                    fill_centered_t(c, &src[..self.cur_len], rows);
-                    interleave_pair_rows(
-                        rows,
-                        positions,
-                        seg.patch,
-                        &mut self.pcolt[..n],
-                        positions,
-                        0,
-                    );
-                }
+                fill_pair_cols(
+                    c,
+                    seg.planar_in,
+                    1,
+                    &src[..self.cur_len],
+                    0..1,
+                    self.stage,
+                    &mut self.pcolt[..n],
+                );
                 &self.pcolt[..n]
             }
         };
@@ -1193,11 +1116,43 @@ pub(crate) fn gap_forward_planar(
     }
 }
 
-/// Fill `rows` with `c`'s natural transposed centered columns for an NHWC
-/// `input` (staging ahead of the pair interleave).
-pub(crate) fn fill_centered_t(c: &QConv, input: &[i8], rows: &mut [i16]) {
-    let zp = c.in_qp.zero_point;
-    fill_im2col_centered_t(input, &c.geom, zp as i16, c.centered_pad(), rows);
+/// Fill conv `c`'s pair-interleaved columns for images `images` of a
+/// `batch`-image source into `out` (`images.len() · positions` lanes, image
+/// `b` from lane `(b − images.start) · positions`) — the one column
+/// producer of every conv on every compiled path.
+///
+/// A `planar_in` source is batch-planar: image `b`'s channel planes sit
+/// `batch` planes apart starting at plane `b` (`batch = 1` is the
+/// per-image planar layout). Otherwise the source stacks NHWC images back
+/// to back and each image is de-interleaved through `stage` (at least
+/// [`crate::plan::ExecPlan::max_stage`] long) into the same planar fill.
+#[inline(always)]
+pub(crate) fn fill_pair_cols(
+    c: &QConv,
+    planar_in: bool,
+    batch: usize,
+    src: &[i8],
+    images: std::ops::Range<usize>,
+    stage: &mut [i8],
+    out: &mut [i16],
+) {
+    let geom = &c.geom;
+    let positions = geom.out_positions();
+    let lanes = images.len() * positions;
+    let in_pos = geom.in_h * geom.in_w;
+    let (zp, pad) = (c.in_qp.zero_point as i16, c.centered_pad());
+    for b in images.clone() {
+        let lane0 = (b - images.start) * positions;
+        if planar_in {
+            let plane_pitch = batch * in_pos;
+            let view = &src[b * in_pos..(geom.in_c - 1) * plane_pitch + b * in_pos + in_pos];
+            fill_im2col_pairs_planar_pitched(view, geom, zp, pad, out, lanes, lane0, plane_pitch);
+        } else {
+            let in_len = in_pos * geom.in_c;
+            let image = &src[b * in_len..(b + 1) * in_len];
+            fill_im2col_pairs_nhwc(image, geom, zp, pad, stage, out, lanes, lane0);
+        }
+    }
 }
 
 /// 2×2/2 max-pool over planar activations — contiguous reads and writes
@@ -1261,6 +1216,7 @@ mod tests {
     use cifar10sim::DatasetConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use tinytensor::im2col::{fill_im2col_centered_t, interleave_pair_rows};
 
     fn quantized_micro(seed: u64) -> (QuantModel, cifar10sim::SyntheticCifar) {
         let data = cifar10sim::generate(DatasetConfig::tiny(seed));
@@ -1338,7 +1294,8 @@ mod tests {
             let pair_rows = c0.patch_len().div_ceil(2);
             // Re-lay the columns at the narrower lane count.
             let mut rows = vec![0i16; positions * c0.patch_len()];
-            fill_centered_t(c0, &qin, &mut rows);
+            let zp = c0.in_qp.zero_point as i16;
+            fill_im2col_centered_t(&qin, &c0.geom, zp, c0.centered_pad(), &mut rows);
             let mut narrow_rows = vec![0i16; lanes * c0.patch_len()];
             for i in 0..c0.patch_len() {
                 narrow_rows[i * lanes..(i + 1) * lanes]

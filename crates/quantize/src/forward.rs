@@ -74,9 +74,9 @@ pub struct ForwardScratch {
     pub(crate) act_b: Vec<i8>,
     pub(crate) cols: Vec<i8>,
     pub(crate) centered: Vec<i16>,
-    /// Natural transposed-row staging ahead of the pair interleave
-    /// (compiled-mask kernels; lazily sized).
-    pub(crate) colt: Vec<i16>,
+    /// One NHWC image de-interleaved to planar ahead of the pair fill of
+    /// an NHWC-input conv (compiled-mask kernels; lazily sized).
+    pub(crate) stage: Vec<i8>,
     /// Pair-interleaved columns (compiled-mask kernels; lazily sized).
     pub(crate) pcolt: Vec<i16>,
     /// Per-lane i32 accumulators (compiled-mask kernels; lazily sized).
@@ -114,7 +114,7 @@ impl ForwardScratch {
             act_b: vec![0; max_act],
             cols: vec![0; max_cols],
             centered: vec![0; max_cols],
-            colt: Vec::new(),
+            stage: Vec::new(),
             pcolt: Vec::new(),
             acc: Vec::new(),
             nhwc: Vec::new(),
@@ -132,9 +132,9 @@ impl ForwardScratch {
             "ForwardScratch reused across models (it is bound to the model \
              it was constructed for)"
         );
-        let max_cols = self.plan.max_cols();
-        if self.colt.len() < max_cols {
-            self.colt.resize(max_cols, 0);
+        let max_stage = self.plan.max_stage();
+        if self.stage.len() < max_stage {
+            self.stage.resize(max_stage, 0);
         }
         let max_pcolt = self.plan.max_pair_colt();
         if self.pcolt.len() < max_pcolt {

@@ -28,7 +28,8 @@
 //! * a final [`Segment::Logits`] epilogue where backends normalize the
 //!   output layout (planar → NHWC unbatch) or charge their softmax cost;
 //! * the workspace-wide scratch extents (largest activation, im2col,
-//!   pair-column and accumulator buffers) every scratch allocator needs.
+//!   pair-column, NHWC staging and accumulator buffers) every scratch
+//!   allocator needs.
 //!
 //! Backends implement [`ExecBackend`] — one monomorphized executor per
 //! segment kind — and [`ExecPlan::execute`] / [`ExecPlan::execute_range`]
@@ -65,8 +66,9 @@ pub struct ConvSegment {
     /// Output activation length per image.
     pub out_len: usize,
     /// Fill strategy: `true` when the incoming activations are
-    /// channel-planar (fused planar pair fill), `false` for NHWC staging +
-    /// pair interleave.
+    /// channel-planar (the pair fill reads them in place), `false` when
+    /// they are NHWC and each image is first de-interleaved into the
+    /// planar staging buffer ([`ExecPlan::max_stage`]) for the same fill.
     pub planar_in: bool,
     /// Dense (pre-skipping) MAC count — the segment cost hook.
     pub macs: u64,
@@ -272,6 +274,9 @@ pub struct ExecPlan {
     max_cols: usize,
     /// Largest pair-interleaved column buffer (i16 elements per image).
     max_pair_colt: usize,
+    /// Largest NHWC → planar staging buffer (i8 elements, one image) of
+    /// any conv whose input arrives NHWC.
+    max_stage: usize,
     /// Largest conv output-position count (accumulator scratch).
     max_positions: usize,
     /// Logits length per image.
@@ -299,6 +304,7 @@ impl ExecPlan {
         let mut max_act = cur_len;
         let mut max_cols = 0usize;
         let mut max_pair_colt = 0usize;
+        let mut max_stage = 0usize;
         let mut max_positions = 0usize;
         // Residual bookkeeping: slots are numbered in stash order; the
         // stack mirrors the Stash/Add pairing; per-slot layout is recorded
@@ -331,6 +337,9 @@ impl ExecPlan {
                     }));
                     max_cols = max_cols.max(positions * patch);
                     max_pair_colt = max_pair_colt.max(pair_rows * 2 * positions);
+                    if !planar {
+                        max_stage = max_stage.max(c.geom.in_h * c.geom.in_w * c.geom.in_c);
+                    }
                     max_positions = max_positions.max(positions);
                     planar = true;
                     planar_dims = Some((positions, c.geom.out_c));
@@ -445,6 +454,7 @@ impl ExecPlan {
             max_act,
             max_cols,
             max_pair_colt,
+            max_stage,
             max_positions,
             logits_len: cur_len,
             input_len,
@@ -525,6 +535,13 @@ impl ExecPlan {
     /// Largest pair-interleaved column buffer (i16 elements per image).
     pub fn max_pair_colt(&self) -> usize {
         self.max_pair_colt
+    }
+
+    /// Largest NHWC → planar staging buffer (i8 elements, one image) the
+    /// pair fill of an NHWC-input conv needs; 0 when every conv reads
+    /// planar activations.
+    pub fn max_stage(&self) -> usize {
+        self.max_stage
     }
 
     /// Largest conv output-position count (per-image accumulator extent).
@@ -681,6 +698,8 @@ mod tests {
         assert_eq!(plan.max_cols(), q.max_im2col_bytes() as usize);
         assert_eq!(plan.max_pair_colt(), q.max_pair_colt_elems());
         assert_eq!(plan.max_positions(), q.max_conv_positions());
+        // Only conv 0 reads NHWC: its staging holds one model input.
+        assert_eq!(plan.max_stage(), q.input_shape.item_len());
     }
 
     #[test]

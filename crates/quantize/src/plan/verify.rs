@@ -49,8 +49,8 @@ pub enum PlanError {
         detail: String,
     },
     /// A workspace scratch extent (`max_act`/`max_cols`/`max_pair_colt`/
-    /// `max_positions`) fails to bound segment `segment`'s re-derived
-    /// requirement.
+    /// `max_stage`/`max_positions`) fails to bound segment `segment`'s
+    /// re-derived requirement.
     ScratchExtent {
         /// Offending segment index.
         segment: usize,
@@ -507,6 +507,14 @@ impl ExecPlan {
                         format!("max_pair_colt {} < {need_pair}", self.max_pair_colt),
                     ));
                 }
+                // An NHWC-input conv stages one image planar for its fill.
+                let need_stage = s.geom.in_h * s.geom.in_w * s.geom.in_c;
+                if !s.planar_in && self.max_stage < need_stage {
+                    return Err(extent_err(
+                        i,
+                        format!("max_stage {} < {need_stage}", self.max_stage),
+                    ));
+                }
                 if self.max_positions < positions {
                     return Err(extent_err(
                         i,
@@ -884,12 +892,13 @@ mod tests {
     fn mutation_undersized_scratch_extent_fires_scratch_extent() {
         let q = quantized(42);
         let base = ExecPlan::lower(&q);
-        for field in 0..4 {
+        for field in 0..5 {
             let mut plan = base.clone();
             match field {
                 0 => plan.max_act -= 1,
                 1 => plan.max_cols -= 1,
                 2 => plan.max_pair_colt -= 1,
+                3 => plan.max_stage -= 1,
                 _ => plan.max_positions -= 1,
             }
             assert!(

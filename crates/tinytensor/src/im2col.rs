@@ -78,12 +78,11 @@ pub fn fill_im2col_i8(input_hwc: &[i8], geom: &ConvGeometry, pad_value: i8, cols
 /// position `p`, already centered (`x − zp`; `pad_centered` for padding,
 /// which is 0 whenever `zp` is representable in i8).
 ///
-/// This is the layout of the compiled-mask conv kernels: per (channel,
-/// patch-index) product the kernel broadcasts one weight against the
-/// contiguous `positions`-long row `i`, so the inner loop vectorizes over
-/// positions and a skipped product skips its whole row. Fusing gather,
-/// centering and transposition into one pass also drops the intermediate
-/// i8 column buffer of [`fill_im2col_i8`].
+/// Together with [`interleave_pair_rows`] this is the two-pass reference
+/// of the compiled conv kernels' column layout: the engines fill pair rows
+/// in one pass ([`fill_im2col_pairs_planar_pitched`],
+/// [`fill_im2col_pairs_nhwc`]), and tests hold that single pass to this
+/// oracle element for element.
 ///
 /// Bit-exact with centering the output of [`fill_im2col_i8`]: tests
 /// cross-check element-for-element.
@@ -144,6 +143,11 @@ pub fn fill_im2col_centered_t(
                     }
                     row[..ox_lo].fill(pad_centered);
                     row[ox_hi..].fill(pad_centered);
+                    if ox_lo == ox_hi {
+                        // No valid column: the first source index below
+                        // would underflow.
+                        continue;
+                    }
                     let row_base = iy as usize * in_w * in_c;
                     let mut src = row_base + (ox_lo * sw + kx - geom.pad_w) * in_c + ci;
                     for v in &mut row[ox_lo..ox_hi] {
@@ -157,10 +161,8 @@ pub fn fill_im2col_centered_t(
 }
 
 /// [`fill_im2col_centered_t`] for a **planar** (channel-major) source:
-/// `planar[ci * in_h * in_w + iy * in_w + ix]`. The compiled-mask pipeline
-/// keeps activations planar between layers, so for a fixed patch element
-/// both the reads (one input row) and the writes (one output row) are
-/// contiguous runs.
+/// `planar[ci * in_h * in_w + iy * in_w + ix]` — the layout the compiled
+/// pipeline keeps between layers (test oracle, like its NHWC sibling).
 pub fn fill_im2col_centered_t_planar(
     planar: &[i8],
     geom: &ConvGeometry,
@@ -245,6 +247,9 @@ pub fn fill_im2col_centered_t_planar_pitched(
                     }
                     row[..ox_lo].fill(pad_centered);
                     row[ox_hi..].fill(pad_centered);
+                    if ox_lo == ox_hi {
+                        continue;
+                    }
                     let row_base = iy as usize * in_w;
                     let mut src = row_base + ox_lo * sw + kx - geom.pad_w;
                     if sw == 1 {
@@ -265,9 +270,9 @@ pub fn fill_im2col_centered_t_planar_pitched(
 }
 
 /// Fill **pair-interleaved** columns directly from a planar (channel-major)
-/// source — the fused fill of the compiled conv pipeline's inner layers,
-/// producing the layout of [`interleave_pair_rows`] without materializing
-/// natural rows first.
+/// source — the single column fill of the compiled conv pipeline, producing
+/// the layout of [`interleave_pair_rows`] without materializing natural
+/// rows first.
 ///
 /// `out` pair row `i` (pitch `2·lanes`, this image's lanes starting at
 /// `lane0`) receives patch elements `2i` and `2i+1` elementwise
@@ -277,13 +282,15 @@ pub fn fill_im2col_centered_t_planar_pitched(
 /// gets 0 (its weight slot is always 0).
 ///
 /// For stride-1 convolutions whose output width equals the input width
-/// (`kernel_w == 2·pad_w + 1` — every same-padding conv here) and whose
-/// pair spans two adjacent channels of one kernel position, a pair row is
-/// one contiguous shifted interleaved copy of two planes plus a handful of
-/// edge-column/edge-row pad patches, so the fill vectorizes over whole
-/// planes instead of per-output-row fragments. Other geometries take the
-/// general per-half path. Bit-exact with
-/// [`fill_im2col_centered_t_planar_pitched`] + [`interleave_pair_rows`]
+/// (`kernel_w == 2·pad_w + 1` — every same-padding conv here), each half of
+/// a pair row is a shifted copy of its own plane, whatever kernel position
+/// and channel it names. The fill interleaves both halves over the span
+/// where both are in range, writes the (at most a few rows long) remainder
+/// of each half alone, then patches each half's pad rows and pad columns —
+/// so the fill vectorizes over whole planes instead of per-output-row
+/// fragments. Strided and valid-padding geometries take the general
+/// per-half path. Bit-exact with the two-pass reference
+/// [`fill_im2col_centered_t_planar_pitched`] then [`interleave_pair_rows`]
 /// (cross-checked by tests).
 #[allow(clippy::too_many_arguments)]
 pub fn fill_im2col_pairs_planar_pitched(
@@ -314,7 +321,7 @@ pub fn fill_im2col_pairs_planar_pitched(
 
     let (in_c, in_w, in_h) = (geom.in_c, geom.in_w, geom.in_h);
     let (sw, sh) = (geom.stride_w, geom.stride_h);
-    // Valid ox range of a kernel column kx (sw == 1 fast path).
+    // Valid ox range of a kernel column kx.
     let ox_range = |kx: usize| -> (usize, usize) {
         let lo_num = geom.pad_w as isize - kx as isize;
         let lo = if lo_num > 0 {
@@ -332,56 +339,92 @@ pub fn fill_im2col_pairs_planar_pitched(
         .max(lo);
         (lo, hi)
     };
+    let shifted = sw == 1 && sh == 1 && ow == in_w;
+    // Stride-1 same-width half: output position p reads plane element
+    // p + off whenever p is a valid (row, column) position. Division-free:
+    // it runs twice per pair row, and tiny interior planes make the
+    // per-pair set-up count.
+    let shifted_half = |(ky, kx, ci): (usize, usize, usize)| -> ShiftedHalf {
+        let off =
+            (ky as isize - geom.pad_h as isize) * in_w as isize + kx as isize - geom.pad_w as isize;
+        let oy_lo = geom.pad_h.saturating_sub(ky).min(oh);
+        // Saturating: a kernel row entirely below the input (ky ≥
+        // in_h + pad_h) has no valid output rows at all.
+        let oy_hi = (in_h + geom.pad_h).saturating_sub(ky).min(oh).max(oy_lo);
+        let ox_lo = geom.pad_w.saturating_sub(kx).min(ow);
+        let ox_hi = (in_w + geom.pad_w).saturating_sub(kx).min(ow).max(ox_lo);
+        // Copy span: the valid rows, clamped so p + off stays inside the
+        // plane; the clamped-off elements are pad columns.
+        let mut p_lo = oy_lo * ow;
+        let mut p_hi = oy_hi * ow;
+        if off < 0 {
+            p_lo = p_lo.max((-off) as usize);
+        } else {
+            p_hi = p_hi.min(plane.saturating_sub(off as usize));
+        }
+        ShiftedHalf {
+            src: ci * plane_pitch,
+            off,
+            oy_lo,
+            oy_hi,
+            ox_lo,
+            ox_hi,
+            p_lo,
+            p_hi: p_hi.max(p_lo),
+        }
+    };
 
+    // (ky, kx, ci) of the patch element after `k`.
+    let next_element = |(ky, kx, ci): (usize, usize, usize)| {
+        if ci + 1 < in_c {
+            (ky, kx, ci + 1)
+        } else if kx + 1 < geom.kernel_w {
+            (ky, kx + 1, 0)
+        } else {
+            (ky + 1, 0, 0)
+        }
+    };
+    let mut k0 = (0, 0, 0);
     for pair in 0..pair_rows {
         let e0 = 2 * pair;
         let e1 = e0 + 1;
-        let (ky, rem) = (e0 / (geom.kernel_w * in_c), e0 % (geom.kernel_w * in_c));
-        let (kx, ci) = (rem / in_c, rem % in_c);
+        let k1 = next_element(k0);
         let dst =
             &mut out[pair * 2 * lanes + 2 * lane0..pair * 2 * lanes + 2 * lane0 + 2 * positions];
 
-        let fused = e1 < patch && ci + 1 < in_c && sw == 1 && sh == 1 && ow == in_w;
-        if fused {
-            // Both halves share (ky, kx): one shifted interleaved copy of
-            // two adjacent channel planes, then pad patches at the edges.
-            let a = &planar[ci * plane_pitch..ci * plane_pitch + plane];
-            let b = &planar[(ci + 1) * plane_pitch..(ci + 1) * plane_pitch + plane];
-            let off = (ky as isize - geom.pad_h as isize) * in_w as isize + kx as isize
-                - geom.pad_w as isize;
-            let oy_lo = geom.pad_h.saturating_sub(ky).min(oh);
-            // Saturating: a kernel row entirely below the input (ky ≥
-            // in_h + pad_h) has no valid output rows at all.
-            let oy_hi = (in_h + geom.pad_h).saturating_sub(ky).min(oh).max(oy_lo);
-            let (ox_lo, ox_hi) = ox_range(kx);
-            // Whole out-of-range rows are padding.
-            for oy in (0..oy_lo).chain(oy_hi..oh) {
-                dst[2 * oy * ow..2 * (oy + 1) * ow].fill(pad_centered);
-            }
-            // Main copy: clamp the span so p + off stays inside the plane;
-            // the clamped-off elements are pad columns, patched below.
-            let mut p_lo = oy_lo * ow;
-            let mut p_hi = oy_hi * ow;
-            if off < 0 {
-                p_lo = p_lo.max((-off) as usize);
-            } else {
-                p_hi = p_hi.min(plane.saturating_sub(off as usize));
-            }
-            if p_lo < p_hi {
-                let sa = &a[(p_lo as isize + off) as usize..(p_hi as isize + off) as usize];
-                let sb = &b[(p_lo as isize + off) as usize..(p_hi as isize + off) as usize];
-                let d = &mut dst[2 * p_lo..2 * p_hi];
-                for (k, d2) in d.chunks_exact_mut(2).enumerate() {
-                    d2[0] = sa[k] as i16 - zp;
-                    d2[1] = sb[k] as i16 - zp;
+        if shifted {
+            let ha = shifted_half(k0);
+            match (e1 < patch).then(|| shifted_half(k1)) {
+                Some(hb) => {
+                    // Joint span: both halves in range, one interleaved copy.
+                    let j_lo = ha.p_lo.max(hb.p_lo);
+                    let j_hi = ha.p_hi.min(hb.p_hi).max(j_lo);
+                    if j_lo < j_hi {
+                        let src = ha.run(planar, j_lo, j_hi).iter();
+                        let src = src.zip(hb.run(planar, j_lo, j_hi));
+                        for (d2, (&a, &b)) in dst[2 * j_lo..2 * j_hi].chunks_exact_mut(2).zip(src) {
+                            d2[0] = a as i16 - zp;
+                            d2[1] = b as i16 - zp;
+                        }
+                    }
+                    // Then each half's remainder alone; pads last, as they
+                    // overwrite whatever the copies wrapped into.
+                    ha.copy_rest::<0>(planar, dst, (j_lo, j_hi), zp);
+                    hb.copy_rest::<1>(planar, dst, (j_lo, j_hi), zp);
+                    if ha.same_window(&hb) {
+                        ha.pad::<3>(dst, ow, pad_centered);
+                    } else {
+                        ha.pad::<1>(dst, ow, pad_centered);
+                        hb.pad::<2>(dst, ow, pad_centered);
+                    }
                 }
-            }
-            // Pad columns of every valid row (also covers the clamped span
-            // ends — those always fall in pad columns).
-            for oy in oy_lo..oy_hi {
-                for ox in (0..ox_lo).chain(ox_hi..ow) {
-                    dst[2 * (oy * ow + ox)] = pad_centered;
-                    dst[2 * (oy * ow + ox) + 1] = pad_centered;
+                None => {
+                    // Past the end of an odd patch: the odd slot is 0.
+                    for v in dst.iter_mut().skip(1).step_by(2) {
+                        *v = 0;
+                    }
+                    ha.copy_rest::<0>(planar, dst, (ha.p_lo, ha.p_lo), zp);
+                    ha.pad::<1>(dst, ow, pad_centered);
                 }
             }
         } else {
@@ -394,8 +437,7 @@ pub fn fill_im2col_pairs_planar_pitched(
                     }
                     continue;
                 }
-                let (ky, rem) = (e / (geom.kernel_w * in_c), e % (geom.kernel_w * in_c));
-                let (kx, ci) = (rem / in_c, rem % in_c);
+                let (ky, kx, ci) = if h == 0 { k0 } else { k1 };
                 let src_plane = &planar[ci * plane_pitch..ci * plane_pitch + plane];
                 let (ox_lo, ox_hi) = ox_range(kx);
                 let mut p = 0usize;
@@ -412,6 +454,9 @@ pub fn fill_im2col_pairs_planar_pitched(
                     for ox in (0..ox_lo).chain(ox_hi..ow) {
                         row[2 * ox + h] = pad_centered;
                     }
+                    if ox_lo == ox_hi {
+                        continue;
+                    }
                     let row_base = iy as usize * in_w;
                     let mut src = row_base + ox_lo * sw + kx - geom.pad_w;
                     for ox in ox_lo..ox_hi {
@@ -421,7 +466,118 @@ pub fn fill_im2col_pairs_planar_pitched(
                 }
             }
         }
+        k0 = next_element(k1);
     }
+}
+
+/// One half of a pair row under the stride-1, same-width fill: its source
+/// plane, flat shift, valid output rows/columns and clamped copy span.
+struct ShiftedHalf {
+    /// Offset of the half's channel plane in the planar view.
+    src: usize,
+    /// Output position `p` reads plane element `p + off`.
+    off: isize,
+    oy_lo: usize,
+    oy_hi: usize,
+    ox_lo: usize,
+    ox_hi: usize,
+    /// Copy span `[p_lo, p_hi)`: every valid (row, column) position lies
+    /// inside it, and `p + off` stays inside the plane over all of it.
+    p_lo: usize,
+    p_hi: usize,
+}
+
+impl ShiftedHalf {
+    /// The source run feeding output positions `[lo, hi)` (inside the copy
+    /// span).
+    fn run<'a>(&self, planar: &'a [i8], lo: usize, hi: usize) -> &'a [i8] {
+        let base = self.src as isize + self.off;
+        &planar[(base + lo as isize) as usize..(base + hi as isize) as usize]
+    }
+
+    /// The rest of this half's copy span (slot `H`: 0 even, 1 odd) outside
+    /// the joint interleaved copy over `[j_lo, j_hi)`.
+    fn copy_rest<const H: usize>(
+        &self,
+        planar: &[i8],
+        dst: &mut [i16],
+        (j_lo, j_hi): (usize, usize),
+        zp: i16,
+    ) {
+        for (lo, hi) in [
+            (self.p_lo, self.p_hi.min(j_lo)),
+            (self.p_lo.max(j_hi), self.p_hi),
+        ] {
+            if lo < hi {
+                let d = dst[2 * lo..2 * hi].chunks_exact_mut(2);
+                for (d2, &v) in d.zip(self.run(planar, lo, hi)) {
+                    d2[H] = v as i16 - zp;
+                }
+            }
+        }
+    }
+
+    /// Write `pad` into this half's pad rows and the pad columns of its
+    /// valid rows (which also covers wrapped-around copies at the copy
+    /// span's row ends), in the slots `MASK` selects (bit 0 even, bit 1
+    /// odd) — both at once when the two halves share a kernel position.
+    fn pad<const MASK: u8>(&self, dst: &mut [i16], ow: usize, pad: i16) {
+        let set = |d2: &mut [i16]| {
+            if MASK & 1 != 0 {
+                d2[0] = pad;
+            }
+            if MASK & 2 != 0 {
+                d2[1] = pad;
+            }
+        };
+        let positions = dst.len() / 2;
+        let (rows_lo, rows_hi) = (self.oy_lo * ow, self.oy_hi * ow);
+        for (lo, hi) in [(0, rows_lo), (rows_hi, positions)] {
+            dst[2 * lo..2 * hi].chunks_exact_mut(2).for_each(set);
+        }
+        // Pad columns: one strided pass down each (usually one or two).
+        if rows_lo < rows_hi {
+            for ox in (0..self.ox_lo).chain(self.ox_hi..ow) {
+                let col = dst[2 * (rows_lo + ox)..2 * rows_hi].chunks_exact_mut(2);
+                col.step_by(ow).for_each(set);
+            }
+        }
+    }
+
+    /// Same valid rows and columns (the two halves share a kernel position).
+    fn same_window(&self, other: &Self) -> bool {
+        (self.oy_lo, self.oy_hi, self.ox_lo, self.ox_hi)
+            == (other.oy_lo, other.oy_hi, other.ox_lo, other.ox_hi)
+    }
+}
+
+/// [`fill_im2col_pairs_planar_pitched`] for an **NHWC** source: the image
+/// is first de-interleaved into `stage` (`in_c · in_h · in_w` i8, channel
+/// planes back to back), then filled by the same planar pair fill. This is
+/// how a conv reading NHWC activations (the model input at conv 0) gets the
+/// planar path's single vectorized pass: the staging copy is one image of
+/// i8 (3 KB for a 32×32×3 input), small enough to stay in L1 next to the
+/// columns it feeds.
+#[allow(clippy::too_many_arguments)]
+pub fn fill_im2col_pairs_nhwc(
+    input_hwc: &[i8],
+    geom: &ConvGeometry,
+    zp: i16,
+    pad_centered: i16,
+    stage: &mut [i8],
+    out: &mut [i16],
+    lanes: usize,
+    lane0: usize,
+) {
+    let (in_c, plane) = (geom.in_c, geom.in_h * geom.in_w);
+    assert_eq!(input_hwc.len(), plane * in_c, "input size mismatch");
+    let stage = &mut stage[..plane * in_c];
+    for (ci, dst) in stage.chunks_exact_mut(plane).enumerate() {
+        for (d, &v) in dst.iter_mut().zip(input_hwc[ci..].iter().step_by(in_c)) {
+            *d = v;
+        }
+    }
+    fill_im2col_pairs_planar_pitched(stage, geom, zp, pad_centered, out, lanes, lane0, plane);
 }
 
 /// Interleave transposed column rows into the **pair-row** layout of the
@@ -440,6 +596,10 @@ pub fn fill_im2col_pairs_planar_pitched(
 ///
 /// `lanes` is the destination's lane count per pair row (`B · positions`
 /// for a batch of `B` images); `lane0` is where this image's lanes start.
+///
+/// The second pass of the two-pass reference fill (after
+/// [`fill_im2col_centered_t`]); the engines use the single-pass pair fills
+/// and tests check them against this.
 pub fn interleave_pair_rows(
     rows: &[i16],
     positions: usize,
@@ -714,8 +874,9 @@ mod tests {
 
     #[test]
     fn fused_pair_fill_matches_two_pass_reference() {
-        // Geometries covering the fused fast path (stride 1, ow == in_w,
-        // even channels), odd channels, strides, valid padding, 1×1.
+        // Geometries covering the shifted fast path (stride 1,
+        // ow == in_w) with even and odd channels, strides, valid padding,
+        // 1×1.
         let geoms = [
             ConvGeometry {
                 in_h: 6,
@@ -832,6 +993,102 @@ mod tests {
                 assert_eq!(o, w, "geom {g} pair row {i}");
             }
         }
+    }
+
+    /// Oracle for the pair fills: the two-pass NHWC fill + interleave at a
+    /// lane offset, compared pair row by pair row inside the lane window.
+    fn two_pass_pairs(
+        input_hwc: &[i8],
+        geom: &ConvGeometry,
+        zp: i16,
+        pad: i16,
+        lanes: usize,
+        lane0: usize,
+    ) -> Vec<i16> {
+        let (positions, patch) = (geom.out_positions(), geom.patch_len());
+        let mut rows = vec![0i16; positions * patch];
+        fill_im2col_centered_t(input_hwc, geom, zp, pad, &mut rows);
+        let mut want = vec![0i16; patch.div_ceil(2) * 2 * lanes];
+        interleave_pair_rows(&rows, positions, patch, &mut want, lanes, lane0);
+        want
+    }
+
+    #[test]
+    fn pair_fill_crosses_kernel_positions_bit_exact() {
+        // Odd channel counts put pairs across kernel-position (and
+        // kernel-row) boundaries; one-row / one-column inputs leave halves
+        // with no valid rows or columns at all.
+        let mut checked = 0;
+        for in_c in [1usize, 3, 5] {
+            for k in [3usize, 5] {
+                for (in_h, in_w) in [(1usize, 7usize), (6, 1), (1, 1), (5, 6), (7, 4)] {
+                    for (pad, stride) in [(k / 2, 1usize), (0, 1), (k / 2, 2)] {
+                        if in_h + 2 * pad < k || in_w + 2 * pad < k {
+                            continue;
+                        }
+                        let geom = ConvGeometry {
+                            in_h,
+                            in_w,
+                            in_c,
+                            out_c: 1,
+                            kernel_h: k,
+                            kernel_w: k,
+                            pad_h: pad,
+                            pad_w: pad,
+                            stride_h: stride,
+                            stride_w: stride,
+                        };
+                        let plane = in_h * in_w;
+                        let len = plane * in_c;
+                        let input: Vec<i8> = (0..len)
+                            .map(|v| (v as i8).wrapping_mul(37).wrapping_add(11))
+                            .collect();
+                        let (zp, pad_c) = (-7i16, 5i16);
+                        let positions = geom.out_positions();
+                        let pair_rows = geom.patch_len().div_ceil(2);
+                        let (lanes, lane0) = (positions + 5, 3usize);
+                        let want = two_pass_pairs(&input, &geom, zp, pad_c, lanes, lane0);
+                        let window = |buf: &[i16], i: usize| -> Vec<i16> {
+                            buf[i * 2 * lanes + 2 * lane0..i * 2 * lanes + 2 * (lane0 + positions)]
+                                .to_vec()
+                        };
+                        // Pitched planar source (3 planes per channel).
+                        let pitch = 3 * plane;
+                        let mut planar = vec![99i8; (in_c - 1) * pitch + plane];
+                        for pix in 0..plane {
+                            for ci in 0..in_c {
+                                planar[ci * pitch + pix] = input[pix * in_c + ci];
+                            }
+                        }
+                        let mut got = vec![-1i16; pair_rows * 2 * lanes];
+                        fill_im2col_pairs_planar_pitched(
+                            &planar, &geom, zp, pad_c, &mut got, lanes, lane0, pitch,
+                        );
+                        // NHWC staging entry point.
+                        let mut stage = vec![0i8; len + 4];
+                        let mut got_nhwc = vec![-1i16; pair_rows * 2 * lanes];
+                        fill_im2col_pairs_nhwc(
+                            &input,
+                            &geom,
+                            zp,
+                            pad_c,
+                            &mut stage,
+                            &mut got_nhwc,
+                            lanes,
+                            lane0,
+                        );
+                        for i in 0..pair_rows {
+                            let tag =
+                                format!("c{in_c} k{k} {in_h}x{in_w} p{pad} s{stride} row {i}");
+                            assert_eq!(window(&got, i), window(&want, i), "planar {tag}");
+                            assert_eq!(window(&got_nhwc, i), window(&want, i), "nhwc {tag}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked >= 40, "only {checked} geometries checked");
     }
 
     #[test]

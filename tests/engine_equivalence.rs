@@ -10,7 +10,9 @@
 //!   X-CUBE-AI comparator.
 //!
 //! This is the acceptance property of the ExecPlan refactor: one walker,
-//! five backends, one ground truth.
+//! five backends, one ground truth. Inputs carry 1–3 channels, so the
+//! NHWC-staged conv-0 column fill sees pairs that cross kernel positions
+//! (odd channel counts) as well as pairs that do not.
 
 use ataman_repro::prelude::*;
 use proptest::prelude::*;
@@ -19,14 +21,21 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinytensor::Shape4;
 
-/// Build a small random CNN over 8×8×2 inputs. `head` picks the tail
+/// Build a small random CNN over 8×8×`in_c` inputs. `head` picks the tail
 /// shape, exercising every segment kind and epilogue layout:
 /// 0 = pool→dense, 1 = GAP→dense, 2 = pool→GAP→dense, 3 = dense (flatten),
 /// 4 = GAP (model ends on the pooled channel vector), 5 = pool (model ends
 /// planar — the logits epilogue must unbatch).
-fn random_model(seed: u64, convs: usize, width: usize, kernel: usize, head: u8) -> Sequential {
+fn random_model(
+    seed: u64,
+    in_c: usize,
+    convs: usize,
+    width: usize,
+    kernel: usize,
+    head: u8,
+) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = Sequential::new("eq", Shape4::nhwc(1, 8, 8, 2));
+    let mut m = Sequential::new("eq", Shape4::nhwc(1, 8, 8, in_c));
     for _ in 0..convs {
         m = m.conv_relu(width, kernel, &mut rng);
     }
@@ -40,13 +49,14 @@ fn random_model(seed: u64, convs: usize, width: usize, kernel: usize, head: u8) 
     }
 }
 
-/// Build a small random **residual** CNN over 8×8×2 inputs. `stem` 0 puts
+/// Build a small random **residual** CNN over 8×8×`in_c` inputs. `stem` 0 puts
 /// the first skip edge right at the input (NHWC stash joined against a
 /// planar conv branch — the mixed-layout join); `stem` 1 opens with a
 /// conv+relu so every join is planar/planar. `blocks` residual blocks of
 /// `block_convs` convs each follow, then a GAP/dense head.
 fn random_residual_model(
     seed: u64,
+    in_c: usize,
     width: usize,
     stem: u8,
     blocks: usize,
@@ -54,12 +64,12 @@ fn random_residual_model(
     head: u8,
 ) -> Sequential {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut m = Sequential::new("req", Shape4::nhwc(1, 8, 8, 2));
+    let mut m = Sequential::new("req", Shape4::nhwc(1, 8, 8, in_c));
     let c = if stem % 2 == 1 {
         m = m.conv_relu(width, 3, &mut rng);
         width
     } else {
-        2
+        in_c
     };
     for _ in 0..blocks {
         m = m.residual(|mut b| {
@@ -78,11 +88,12 @@ fn random_residual_model(
 
 fn quantized(model: &Sequential, seed: u64, n: usize) -> (QuantModel, cifar10sim::Dataset) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-    let len = 8 * 8 * 2;
+    let in_c = model.input_shape.c;
+    let len = 8 * 8 * in_c;
     let flat: Vec<f32> = (0..n * len).map(|_| rng.gen_range(0.0f32..1.0)).collect();
     let labels: Vec<u8> = (0..n).map(|_| rng.gen_range(0u8..4)).collect();
     let ds = cifar10sim::Dataset {
-        images: tinytensor::Tensor::from_vec(Shape4::nhwc(n, 8, 8, 2), flat).unwrap(),
+        images: tinytensor::Tensor::from_vec(Shape4::nhwc(n, 8, 8, in_c), flat).unwrap(),
         labels,
     };
     let ranges = calibrate_ranges(model, &ds);
@@ -115,6 +126,7 @@ proptest! {
     #[test]
     fn five_engines_bit_exact(
         seed in 0u64..5000,
+        in_c in 1usize..4,
         convs in 1usize..4,
         width in 2usize..5,
         kernel in prop::sample::select(vec![1usize, 3]),
@@ -122,7 +134,7 @@ proptest! {
         skip_mod in 2u64..9,
         batch in 1usize..6,
     ) {
-        let model = random_model(seed, convs, width, kernel, head);
+        let model = random_model(seed, in_c, convs, width, kernel, head);
         let n_images = 5; // prime: batch sizes 2..=4 leave a ragged tail
         let (q, ds) = quantized(&model, seed, n_images);
         let in_len = q.input_shape.item_len();
@@ -185,6 +197,7 @@ proptest! {
     #[test]
     fn residual_models_five_engines_bit_exact(
         seed in 0u64..5000,
+        in_c in 1usize..4,
         width in 2usize..5,
         stem in 0u8..2,
         blocks in 1usize..3,
@@ -193,7 +206,7 @@ proptest! {
         skip_mod in 2u64..9,
         batch in 1usize..6,
     ) {
-        let model = random_residual_model(seed, width, stem, blocks, block_convs, head);
+        let model = random_residual_model(seed, in_c, width, stem, blocks, block_convs, head);
         let n_images = 5; // prime: batch sizes 2..=4 leave a ragged tail
         let (q, ds) = quantized(&model, seed, n_images);
         let in_len = q.input_shape.item_len();
@@ -274,6 +287,7 @@ proptest! {
     #[test]
     fn checkpoint_prefix_shares_through_residual_join(
         seed in 0u64..5000,
+        in_c in 1usize..4,
         width in 2usize..4,
         stem in 0u8..2,
         skip_mod in 2u64..7,
@@ -281,7 +295,7 @@ proptest! {
     ) {
         // One residual block of two convs: conv ordinals inside the block
         // see a live stash at their checkpoint.
-        let model = random_residual_model(seed, width, stem, 1, 2, 1);
+        let model = random_residual_model(seed, in_c, width, stem, 1, 2, 1);
         let (q, ds) = quantized(&model, seed, batch);
         let masks_a = random_masks(&q, seed, skip_mod);
         let mut masks_b = masks_a.clone();
@@ -318,13 +332,14 @@ proptest! {
     #[test]
     fn checkpoint_resume_handles_gap_models(
         seed in 0u64..5000,
+        in_c in 1usize..4,
         convs in 1usize..3,
         width in 2usize..5,
         head in prop::sample::select(vec![1u8, 2, 4]),
         skip_mod in 2u64..7,
         batch in 1usize..5,
     ) {
-        let model = random_model(seed, convs, width, 3, head);
+        let model = random_model(seed, in_c, convs, width, 3, head);
         let (q, ds) = quantized(&model, seed, batch);
         let masks = random_masks(&q, seed, skip_mod);
         let compiled = CompiledMasks::compile(&q, &masks);
