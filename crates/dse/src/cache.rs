@@ -20,10 +20,10 @@
 //!
 //! The cache is immutable after construction and `Sync`, so
 //! `explore()`/`greedy_refine()` workers share one instance across designs
-//! and rayon threads. The per-image compiled path
-//! ([`QuantModel::predict_compiled_scratch`]) stays available as the
-//! bit-exactness reference; tests assert batch accuracy equals the
-//! per-image boolean-mask accuracy exactly.
+//! and rayon threads. The boolean-mask reference forward
+//! ([`QuantModel::forward_quantized`]) stays the bit-exactness oracle;
+//! tests assert batch accuracy equals the per-image boolean-mask accuracy
+//! exactly.
 //!
 //! On top of the per-design [`DseEvalCache::accuracy`],
 //! [`DseEvalCache::accuracies_trie`] evaluates a whole τ-trie of

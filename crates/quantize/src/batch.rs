@@ -1,19 +1,19 @@
-//! Batch-major compiled execution: pack `B` images through the pair-stream
-//! kernels in one pass — monolithically or **resumably**, from per-layer
-//! checkpoints.
+//! Batch-major compiled execution — the one compiled host engine: pack `B`
+//! images through the pair-stream kernels in one pass, monolithically or
+//! **resumably** from per-layer checkpoints. Per-image inference is
+//! `batch = 1` of the same engine.
 //!
-//! The per-image compiled path ([`QuantModel::forward_compiled_scratch`])
-//! re-traverses every layer's weight streams, requantization parameters and
-//! output stages once **per image**. The DSE evaluates hundreds of eval
-//! images per design and a serving front-end pushes thousands of requests
-//! per second through a deployed design, so this module amortizes all
-//! per-layer stream state across a batch:
+//! Running a model image by image would re-traverse every layer's weight
+//! streams, requantization parameters and output stages once **per
+//! image**. The DSE evaluates hundreds of eval images per design and a
+//! serving front-end pushes thousands of requests per second through a
+//! deployed design, so this module amortizes all per-layer stream state
+//! across a batch:
 //!
 //! * **Batched pair columns** — image `b` occupies lanes
 //!   `[b·positions, (b+1)·positions)` of every pair row, so one stream
 //!   entry broadcasts its weight pair across `B × positions` contiguous
-//!   lanes and the conv kernel ([`crate::compiled`]) is *identical* to the
-//!   per-image one, just with `lanes = B · positions`.
+//!   lanes of the conv kernel ([`crate::compiled`]).
 //! * **Batch-planar activations** between conv/pool stages — plane
 //!   `c·B + b` holds channel `c` of image `b`, so conv stores, pooling and
 //!   the next conv's column fill all touch contiguous planes, and pooling a
@@ -23,10 +23,11 @@
 //!   image at a time; everything before them never materializes a
 //!   per-image view.
 //!
-//! Traversal is plan-driven ([`crate::plan::ExecPlan`]): the monolithic
-//! driver is the [`crate::plan::ExecBackend`] impl `BatchBackend`.
-//! Activation layout per segment is a static plan property, so the old
-//! runtime layout tracking is gone.
+//! Traversal is plan-driven ([`crate::plan::ExecPlan`]): every run — a
+//! whole forward, the leading segments of a checkpoint chain, one
+//! checkpoint segment — is the [`crate::plan::ExecBackend`] impl
+//! `BatchBackend` driven over a plan range. Activation layout per segment
+//! is a static plan property, so no run tracks layout at runtime.
 //!
 //! ## Tiled (and optionally parallel) conv execution
 //!
@@ -60,19 +61,22 @@
 //! of the plan ([`crate::plan::ExecPlan::advance_range`]: the conv under a
 //! chosen compiled stream, plus every following non-conv segment up to the
 //! next conv or through the logits epilogue) from one checkpoint into
-//! another. A DSE walking a τ trie keeps a small stack of checkpoints and
-//! re-runs only the segments below the first layer whose τ changed.
-//! [`QuantModel::batch_fill_conv_cols`] additionally splits out the
-//! τ-independent pair-column fill of a segment so siblings in the
-//! trie share one column fill.
+//! another. Both are `BatchBackend` runs over the checkpoint's state: the
+//! run reads the source checkpoint's activations in place, records stashes
+//! into the destination checkpoint, and a stash consumed by its Add is
+//! released after the range runs. A DSE walking a τ trie keeps a small
+//! stack of checkpoints and re-runs only the segments below the first
+//! layer whose τ changed. [`QuantModel::batch_fill_conv_cols`]
+//! additionally splits out the τ-independent pair-column fill of a segment
+//! so siblings in the trie share one column fill.
 //!
-//! Every layout change is value-preserving and the MAC/requantize
-//! arithmetic is lane-for-lane the per-image kernel's, so batched results
-//! — monolithic *and* checkpoint-resumed, for any split points — are
-//! **bit-exact** with the per-image compiled path (and hence the
-//! boolean-mask reference) for every batch size, including ragged final
-//! batches — enforced by unit tests here and the workspace proptests
-//! `tests/batched_forward.rs` and `tests/prefix_forward.rs`.
+//! Every layout change is value-preserving and each lane's MAC/requantize
+//! arithmetic is the boolean-mask reference's, regrouped pairwise, so
+//! results — monolithic *and* checkpoint-resumed, for any split points —
+//! are **bit-exact** with [`QuantModel::forward_quantized`] for every batch
+//! size, including `batch = 1` and ragged final batches — enforced by unit
+//! tests here and the workspace proptests `tests/batched_forward.rs`,
+//! `tests/engine_equivalence.rs` and `tests/prefix_forward.rs`.
 
 use crate::compiled::{
     conv_forward_pairs_window, fill_pair_cols, gap_forward_planar, planar_to_nhwc_pitched,
@@ -81,11 +85,12 @@ use crate::compiled::{
 use crate::forward::{argmax_i8, dense_forward, gap_forward_nhwc, pool_forward};
 use crate::plan::{
     AddSegment, ConvSegment, DenseSegment, ExecBackend, ExecPlan, GapSegment, LogitsSegment,
-    PoolSegment,
+    PoolSegment, Segment,
 };
 use crate::pool::BatchPool;
 use crate::qmodel::{QAdd, QConv, QuantModel};
 use std::cell::UnsafeCell;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -283,7 +288,7 @@ impl BatchScratch {
             + 2 * self.pcolt.len()
             + 4 * self.acc.len()
             + self.nhwc.len()
-            + self.stash.iter().map(Vec::len).sum::<usize>()) as u64
+            + self.stash.iter().map(Vec::capacity).sum::<usize>()) as u64
             + self
                 .dense_streams
                 .iter()
@@ -380,14 +385,13 @@ impl BatchCheckpoint {
     }
 }
 
-/// Residual join over a batch — the single join implementation every
-/// compiled backend shares (`batch = 1` is the per-image case, where the
-/// plane pitch collapses to `pos`). Same-layout operands add elementwise
-/// (per-image NHWC stacking and batch-planar plane layout are both
-/// position-for-position identical between the branches); a layout
+/// Residual join over a batch (`batch = 1` is the per-image case, where
+/// the plane pitch collapses to `pos`). Same-layout operands add
+/// elementwise (per-image NHWC stacking and batch-planar plane layout are
+/// both position-for-position identical between the branches); a layout
 /// mismatch index-maps the stash — per-image NHWC element `(b, p·ch + c)`
 /// against batch-planar element `c·(B·pos) + b·pos + p`.
-pub(crate) fn add_join_batched(
+fn add_join_batched(
     a: &QAdd,
     seg: &AddSegment,
     batch: usize,
@@ -684,35 +688,84 @@ fn mask_view(masks: Option<&CompiledMasks>, n_convs: usize) -> Vec<Option<&Compi
     }
 }
 
-/// The monolithic batch-major backend: the serving / DSE hot path. One
-/// instance walks the whole plan; every executor's inner loop is the
-/// pre-plan hand-rolled walker's, verbatim.
+/// Where a [`BatchBackend`]'s current activation lives.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Cur {
+    /// The caller's input (stacked model inputs, or a checkpoint's
+    /// activations), read in place.
+    Input,
+    /// The scratch's `act_a`.
+    A,
+    /// The scratch's `act_b`.
+    B,
+}
+
+/// Split the ping-pong buffers into the current activation and the buffer
+/// the next segment writes (`act_a` unless the current one is `act_a`).
+#[inline(always)]
+fn io<'a>(
+    cur: Cur,
+    input: &'a [i8],
+    act_a: &'a mut [i8],
+    act_b: &'a mut [i8],
+) -> (&'a [i8], &'a mut [i8]) {
+    match cur {
+        Cur::Input => (input, act_a),
+        Cur::A => (act_a, act_b),
+        Cur::B => (act_b, act_a),
+    }
+}
+
+/// One run of the batch engine: `batch` images entering plan segments
+/// `range` as `input` (`in_len` elements per image).
+struct Run<'r> {
+    range: Range<usize>,
+    batch: usize,
+    input: &'r [i8],
+    in_len: usize,
+    /// Stream per conv ordinal from `first_conv` on (`None` = exact,
+    /// dense-stream dispatch).
+    streams: &'r [Option<&'r CompiledConv>],
+    first_conv: usize,
+    /// Pair columns of conv `first_conv`, filled by the caller (the DSE's
+    /// cached conv-0 columns, a trie node's sibling-shared fill): that
+    /// conv skips its own fill.
+    prefilled: Option<&'r [i16]>,
+}
+
+/// The batch-major backend: the serving / DSE hot path, and the only
+/// compiled host engine. One instance walks one [`Run`] — the whole plan,
+/// or a checkpoint's range of it.
 struct BatchBackend<'r, 'm> {
     model: &'m QuantModel,
     batch: usize,
     streams: &'r [Option<&'r CompiledConv>],
-    conv0_pcolt: Option<&'r [i16]>,
+    first_conv: usize,
+    prefilled: Option<&'r [i16]>,
     dense_streams: &'r [CompiledConv],
-    act_a: &'r mut Vec<i8>,
-    act_b: &'r mut Vec<i8>,
-    stage: &'r mut Vec<i8>,
-    pcolt: &'r mut Vec<i16>,
-    acc: &'r mut Vec<i32>,
-    nhwc: &'r mut Vec<i8>,
-    /// Residual stash buffers (batch layout as produced).
-    stash: &'r mut Vec<Vec<i8>>,
+    input: &'r [i8],
+    act_a: &'r mut [i8],
+    act_b: &'r mut [i8],
+    stage: &'r mut [i8],
+    pcolt: &'r mut [i16],
+    acc: &'r mut [i32],
+    nhwc: &'r mut [i8],
+    /// Residual stash buffers (batch layout as produced): the scratch's
+    /// own for a whole forward, the destination checkpoint's for a
+    /// checkpoint run.
+    stash: &'r mut [Vec<i8>],
     /// Intra-batch pool + per-thread arenas when parallel execution is on.
     par: Option<(&'r BatchPool, &'r [ArenaCell])>,
     /// Per-image activation length of the current buffer.
     cur_len: usize,
-    in_a: bool,
+    cur: Cur,
 }
 
 impl BatchBackend<'_, '_> {
     #[inline(always)]
     fn advance(&mut self, out_len: usize) {
         self.cur_len = out_len;
-        self.in_a = !self.in_a;
+        self.cur = if self.cur == Cur::A { Cur::B } else { Cur::A };
     }
 }
 
@@ -721,16 +774,10 @@ impl ExecBackend for BatchBackend<'_, '_> {
     fn conv(&mut self, seg: &ConvSegment) {
         let c = self.model.conv_at(seg.layer_idx);
         let batch = self.batch;
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        let prefilled: Option<&[i16]> = match (seg.ordinal, self.conv0_pcolt) {
-            (0, Some(cached)) => Some(cached),
-            _ => None,
-        };
-        let cc = self.streams[seg.ordinal].unwrap_or(&self.dense_streams[seg.ordinal]);
+        let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
+        let i = seg.ordinal - self.first_conv;
+        let prefilled = if i == 0 { self.prefilled } else { None };
+        let cc = self.streams[i].unwrap_or(&self.dense_streams[seg.ordinal]);
         conv_exec_tiled(
             c,
             cc,
@@ -750,11 +797,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
     #[inline]
     fn pool(&mut self, seg: &PoolSegment) {
         let batch = self.batch;
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
+        let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
         if seg.planar_in {
             // A batch is C·B independent planes; pooling each plane
             // preserves the (c, b) → plane mapping.
@@ -819,11 +862,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
     #[inline]
     fn global_avg_pool(&mut self, seg: &GapSegment) {
         let batch = self.batch;
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
+        let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
         if seg.planar_in {
             // Image b's planes sit batch planes apart starting at plane b;
             // the output is a per-image channel vector.
@@ -854,11 +893,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
     fn dense(&mut self, seg: &DenseSegment) {
         let batch = self.batch;
         let d = self.model.dense_at(seg.layer_idx);
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
+        let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
         if let Some((positions, ch)) = seg.planar_in {
             // Per-image unbatch: gather image b's planes into NHWC, then
             // the (small) dense tail per image.
@@ -893,11 +928,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
         let a = self.model.add_at(seg.layer_idx);
         let batch = self.batch;
         let n = batch * seg.len;
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
+        let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
         match self
             .par
             .filter(|(p, _)| p.threads() > 1 && n >= MIN_PAR_ELEMS)
@@ -926,12 +957,11 @@ impl ExecBackend for BatchBackend<'_, '_> {
     #[inline(never)]
     fn stash(&mut self, slot: usize, len: usize) {
         let n = self.batch * len;
-        let src = if self.in_a {
-            &self.act_a[..n]
-        } else {
-            &self.act_b[..n]
-        };
-        self.stash[slot][..n].copy_from_slice(src);
+        let (src, _) = io(self.cur, self.input, self.act_a, self.act_b);
+        // Within capacity for the scratch's own buffers; a checkpoint's
+        // grows on its first descent only.
+        self.stash[slot].clear();
+        self.stash[slot].extend_from_slice(&src[..n]);
     }
 
     #[inline]
@@ -940,11 +970,7 @@ impl ExecBackend for BatchBackend<'_, '_> {
         // unbatch so callers always see per-image NHWC logits.
         if let Some((positions, ch)) = seg.planar {
             let batch = self.batch;
-            let (src, dst) = if self.in_a {
-                (&self.act_a[..], &mut self.act_b[..])
-            } else {
-                (&self.act_b[..], &mut self.act_a[..])
-            };
+            let (src, dst) = io(self.cur, self.input, self.act_a, self.act_b);
             for b in 0..batch {
                 // Split borrow: nhwc is a distinct field from act_a/act_b.
                 planar_to_nhwc_pitched(
@@ -957,182 +983,91 @@ impl ExecBackend for BatchBackend<'_, '_> {
                 dst[b * seg.out_len..(b + 1) * seg.out_len]
                     .copy_from_slice(&self.nhwc[..seg.out_len]);
             }
-            self.in_a = !self.in_a;
+            self.advance(seg.out_len);
         }
     }
 }
 
-/// The resumable backend: executes the non-conv segments of one checkpoint
-/// range against a [`BatchCheckpoint`]'s activation buffer, staging through
-/// the scratch. These segments are cheap (pool/GAP/dense) next to the conv
-/// kernels on either side.
-struct CkptBackend<'r, 'm> {
-    model: &'m QuantModel,
-    out: &'r mut BatchCheckpoint,
-    /// Staging buffer (the scratch's `act_a`).
-    stage: &'r mut Vec<i8>,
-    /// One image's NHWC staging.
-    nhwc: &'r mut Vec<i8>,
-}
-
-impl CkptBackend<'_, '_> {
-    /// Adopt the staged result as the checkpoint's activation state.
-    #[inline]
-    fn commit(&mut self, out_len: usize) {
-        let batch = self.out.batch;
-        self.out.act.clear();
-        self.out
-            .act
-            .extend_from_slice(&self.stage[..batch * out_len]);
-        self.out.cur_len = out_len;
-    }
-}
-
-impl ExecBackend for CkptBackend<'_, '_> {
-    fn conv(&mut self, _seg: &ConvSegment) {
-        unreachable!("checkpoint ranges execute their conv via batch_advance_into");
-    }
-
-    fn pool(&mut self, seg: &PoolSegment) {
-        let batch = self.out.batch;
-        if seg.planar_in {
-            pool_forward_planar(
-                seg.in_h,
-                seg.in_w,
-                seg.c * batch,
-                &self.out.act[..batch * self.out.cur_len],
-                &mut self.stage[..batch * seg.out_len],
-            );
-        } else {
-            for b in 0..batch {
-                pool_forward(
-                    seg.in_h,
-                    seg.in_w,
-                    seg.c,
-                    &self.out.act[b * self.out.cur_len..(b + 1) * self.out.cur_len],
-                    &mut self.stage[b * seg.out_len..(b + 1) * seg.out_len],
-                );
-            }
-        }
-        self.commit(seg.out_len);
-    }
-
-    fn global_avg_pool(&mut self, seg: &GapSegment) {
-        let batch = self.out.batch;
-        if seg.planar_in {
-            let plane_pitch = batch * seg.positions;
-            for b in 0..batch {
-                gap_forward_planar(
-                    seg.positions,
-                    seg.c,
-                    plane_pitch,
-                    &self.out.act[b * seg.positions..],
-                    &mut self.stage[b * seg.out_len..(b + 1) * seg.out_len],
-                );
-            }
-        } else {
-            for b in 0..batch {
-                gap_forward_nhwc(
-                    seg.positions,
-                    seg.c,
-                    &self.out.act[b * self.out.cur_len..(b + 1) * self.out.cur_len],
-                    &mut self.stage[b * seg.out_len..(b + 1) * seg.out_len],
-                );
-            }
-        }
-        self.commit(seg.out_len);
-    }
-
-    fn dense(&mut self, seg: &DenseSegment) {
-        let batch = self.out.batch;
-        let d = self.model.dense_at(seg.layer_idx);
-        if let Some((positions, ch)) = seg.planar_in {
-            for b in 0..batch {
-                planar_to_nhwc_pitched(
-                    &self.out.act[b * positions..],
-                    positions,
-                    ch,
-                    batch * positions,
-                    &mut self.nhwc[..self.out.cur_len],
-                );
-                dense_forward(
-                    d,
-                    &self.nhwc[..self.out.cur_len],
-                    &mut self.stage[b * seg.out_dim..(b + 1) * seg.out_dim],
-                );
-            }
-        } else {
-            for b in 0..batch {
-                dense_forward(
-                    d,
-                    &self.out.act[b * self.out.cur_len..(b + 1) * self.out.cur_len],
-                    &mut self.stage[b * seg.out_dim..(b + 1) * seg.out_dim],
-                );
-            }
-        }
-        self.commit(seg.out_dim);
-    }
-
-    #[inline(never)]
-    fn add(&mut self, seg: &AddSegment) {
-        let a = self.model.add_at(seg.layer_idx);
-        let batch = self.out.batch;
-        let n = batch * seg.len;
-        add_join_batched(
-            a,
-            seg,
-            batch,
-            &self.out.stashes[seg.slot][..n],
-            &self.out.act[..n],
-            &mut self.stage[..n],
+impl BatchScratch {
+    fn check_batch(&self, model: &QuantModel, batch: usize) {
+        assert!(batch >= 1, "empty batch");
+        assert!(
+            batch <= self.max_batch,
+            "batch {batch} exceeds scratch capacity {}",
+            self.max_batch
         );
-        self.commit(seg.len);
-        // Each slot is consumed by exactly one Add (LIFO pairing, asserted
-        // at lowering), and sibling advances re-read the *ancestor*
-        // checkpoint — free the dead buffer so descendant checkpoints stop
-        // cloning it and resident_bytes stops counting its capacity.
-        self.out.stashes[seg.slot] = Vec::new();
+        debug_assert_eq!(
+            self.dense_streams.len(),
+            model.conv_indices().len(),
+            "BatchScratch reused across models (it is bound to the model it \
+             was constructed for)"
+        );
     }
 
-    #[inline(never)]
-    fn stash(&mut self, slot: usize, len: usize) {
-        // Record the checkpoint's current activation as resume state: the
-        // stash must survive into (clones of) every descendant checkpoint
-        // until its Add consumes it.
-        let n = self.out.batch * len;
-        let BatchCheckpoint { act, stashes, .. } = &mut *self.out;
-        stashes[slot].clear();
-        stashes[slot].extend_from_slice(&act[..n]);
+    /// Execute `run` of `model` over this scratch, recording stashes into
+    /// `stash` (the scratch's own buffers when `None`). Returns where the
+    /// result lives and its per-image length.
+    fn execute(
+        &mut self,
+        model: &QuantModel,
+        run: Run<'_>,
+        stash: Option<&mut [Vec<i8>]>,
+    ) -> (Cur, usize) {
+        let BatchScratch {
+            plan,
+            act_a,
+            act_b,
+            stage,
+            pcolt,
+            acc,
+            nhwc,
+            stash: own_stash,
+            dense_streams,
+            pool,
+            arenas,
+            ..
+        } = self;
+        let par = pool
+            .as_deref()
+            .filter(|p| p.threads() > 1)
+            .map(|p| (p, arenas.as_slice()));
+        let mut backend = BatchBackend {
+            model,
+            batch: run.batch,
+            streams: run.streams,
+            first_conv: run.first_conv,
+            prefilled: run.prefilled,
+            dense_streams,
+            input: run.input,
+            act_a,
+            act_b,
+            stage,
+            pcolt,
+            acc,
+            nhwc,
+            stash: stash.unwrap_or(&mut own_stash[..]),
+            par,
+            cur_len: run.in_len,
+            cur: Cur::Input,
+        };
+        plan.execute_range(run.range, &mut backend);
+        (backend.cur, backend.cur_len)
     }
 
-    fn logits(&mut self, seg: &LogitsSegment) {
-        // Plan end: unbatch a planar tail so `act` holds per-image logits.
-        if let Some((positions, ch)) = seg.planar {
-            let batch = self.out.batch;
-            for b in 0..batch {
-                planar_to_nhwc_pitched(
-                    &self.out.act[b * positions..],
-                    positions,
-                    ch,
-                    batch * positions,
-                    &mut self.nhwc[..seg.out_len],
-                );
-                self.stage[b * seg.out_len..(b + 1) * seg.out_len]
-                    .copy_from_slice(&self.nhwc[..seg.out_len]);
-            }
-            let n = batch * seg.out_len;
-            self.out.act.clear();
-            self.out.act.extend_from_slice(&self.stage[..n]);
+    /// The `n` result elements of a run that ended at `cur`.
+    fn output<'a>(&'a self, cur: Cur, input: &'a [i8], n: usize) -> &'a [i8] {
+        match cur {
+            Cur::Input => &input[..n],
+            Cur::A => &self.act_a[..n],
+            Cur::B => &self.act_b[..n],
         }
-        self.out.complete = true;
     }
 }
 
 impl QuantModel {
     /// Batched pair-interleaved first-conv columns for `batch` stacked
-    /// quantized inputs — the batch-major analogue of
-    /// [`QuantModel::conv0_pair_cols`], τ-independent and therefore
-    /// precomputable once per eval set.
+    /// quantized inputs — τ-independent and therefore precomputable once
+    /// per eval set.
     ///
     /// Returns `None` when the model does not start with a convolution.
     pub fn conv0_pair_cols_batch(&self, qinputs: &[i8], batch: usize) -> Option<Vec<i16>> {
@@ -1156,8 +1091,8 @@ impl QuantModel {
     ///
     /// `conv0_pcolt` optionally supplies this batch's precomputed
     /// first-conv pair columns ([`QuantModel::conv0_pair_cols_batch`]).
-    /// Bit-exact with running [`QuantModel::forward_compiled_scratch`] per
-    /// image.
+    /// Bit-exact with [`QuantModel::forward_quantized`] per image over the
+    /// boolean masks the compiled masks were built from.
     pub fn forward_compiled_batch_scratch(
         &self,
         qinputs: &[i8],
@@ -1167,14 +1102,9 @@ impl QuantModel {
         s: &mut BatchScratch,
     ) -> Vec<i8> {
         let view = mask_view(masks, s.dense_streams.len());
-        let (in_a, per_image) =
+        let (cur, per_image) =
             self.forward_compiled_batch_core(qinputs, batch, conv0_pcolt, &view, s);
-        let fin = if in_a {
-            &s.act_a[..batch * per_image]
-        } else {
-            &s.act_b[..batch * per_image]
-        };
-        fin.to_vec()
+        s.output(cur, qinputs, batch * per_image).to_vec()
     }
 
     /// Predicted class per image of a batch, reusing caller scratch —
@@ -1203,20 +1133,16 @@ impl QuantModel {
         streams: &[Option<&CompiledConv>],
         s: &mut BatchScratch,
     ) -> Vec<usize> {
-        let (in_a, per_image) =
+        let (cur, per_image) =
             self.forward_compiled_batch_core(qinputs, batch, conv0_pcolt, streams, s);
-        let fin = if in_a {
-            &s.act_a[..batch * per_image]
-        } else {
-            &s.act_b[..batch * per_image]
-        };
+        let fin = s.output(cur, qinputs, batch * per_image);
         (0..batch)
             .map(|b| argmax_i8(&fin[b * per_image..(b + 1) * per_image]))
             .collect()
     }
 
-    /// Batched driver writing into scratch; returns which ping-pong buffer
-    /// holds the logits and the per-image logits length.
+    /// Batched driver: the whole plan as one run, writing into scratch;
+    /// returns where the logits live and the per-image logits length.
     fn forward_compiled_batch_core(
         &self,
         qinputs: &[i8],
@@ -1224,62 +1150,43 @@ impl QuantModel {
         conv0_pcolt: Option<&[i16]>,
         streams: &[Option<&CompiledConv>],
         s: &mut BatchScratch,
-    ) -> (bool, usize) {
-        assert!(batch >= 1, "empty batch");
-        assert!(
-            batch <= s.max_batch,
-            "batch {batch} exceeds scratch capacity {}",
-            s.max_batch
-        );
-        debug_assert_eq!(
-            s.dense_streams.len(),
-            self.conv_indices().len(),
-            "BatchScratch reused across models (it is bound to the model it \
-             was constructed for)"
-        );
+    ) -> (Cur, usize) {
+        s.check_batch(self, batch);
         assert_eq!(streams.len(), s.dense_streams.len(), "stream arity");
         let in_len = self.input_shape.item_len();
         assert_eq!(qinputs.len(), batch * in_len, "input length mismatch");
-
-        s.act_a[..batch * in_len].copy_from_slice(qinputs);
-        let BatchScratch {
-            plan,
-            act_a,
-            act_b,
-            stage,
-            pcolt,
-            acc,
-            nhwc,
-            stash,
-            dense_streams,
-            pool,
-            arenas,
-            ..
-        } = s;
-        let par = pool
-            .as_deref()
-            .filter(|p| p.threads() > 1)
-            .map(|p| (p, arenas.as_slice()));
-        let mut backend = BatchBackend {
-            model: self,
+        let run = Run {
+            range: 0..s.plan.segments().len(),
             batch,
+            input: qinputs,
+            in_len,
             streams,
-            conv0_pcolt,
-            dense_streams,
-            act_a,
-            act_b,
-            stage,
-            pcolt,
-            acc,
-            nhwc,
-            stash,
-            par,
-            cur_len: in_len,
-            in_a: true,
+            first_conv: 0,
+            prefilled: conv0_pcolt,
         };
-        plan.execute(&mut backend);
-        let in_a = backend.in_a;
-        (in_a, s.plan.logits_len())
+        s.execute(self, run, None)
+    }
+
+    /// Execute `run` into checkpoint `out`: its stashes record into
+    /// `out.stashes`, its result becomes `out`'s activations, and every
+    /// stash an Add of the range consumed is released.
+    fn run_into_checkpoint(&self, run: Run<'_>, s: &mut BatchScratch, out: &mut BatchCheckpoint) {
+        let (range, batch, input) = (run.range.clone(), run.batch, run.input);
+        let (cur, len) = s.execute(self, run, Some(&mut out.stashes[..]));
+        out.act.clear();
+        out.act.extend_from_slice(s.output(cur, input, batch * len));
+        out.batch = batch;
+        out.cur_len = len;
+        out.complete = range.end == s.plan.segments().len();
+        // Each slot is consumed by exactly one Add (LIFO pairing, asserted
+        // at lowering), and sibling advances re-read the *ancestor*
+        // checkpoint — free the dead buffer so descendant checkpoints stop
+        // cloning it and resident_bytes stops counting its capacity.
+        for seg in &s.plan.segments()[range] {
+            if let Segment::Add(a) = seg {
+                out.stashes[a.slot] = Vec::new();
+            }
+        }
     }
 
     /// Begin a resumable batched forward: capture `qinputs` and run the
@@ -1292,36 +1199,26 @@ impl QuantModel {
         s: &mut BatchScratch,
         out: &mut BatchCheckpoint,
     ) {
-        assert!(batch >= 1, "empty batch");
-        assert!(
-            batch <= s.max_batch,
-            "batch {batch} exceeds scratch capacity {}",
-            s.max_batch
-        );
+        s.check_batch(self, batch);
         let in_len = self.input_shape.item_len();
         assert_eq!(qinputs.len(), batch * in_len, "input length mismatch");
-        out.batch = batch;
-        out.conv_ordinal = 0;
-        out.cur_len = in_len;
-        out.complete = false;
-        out.act.clear();
-        out.act.extend_from_slice(qinputs);
-        // One (initially empty) stash buffer per plan slot; the walker
-        // records input stashes and leading-segment side-outputs below.
+        // One (initially empty) stash buffer per plan slot; the run
+        // records input stashes and leading-segment side-outputs.
         out.stashes.resize_with(s.plan.n_stash_slots(), Vec::new);
         for st in &mut out.stashes {
             st.clear();
         }
-        let BatchScratch {
-            plan, act_a, nhwc, ..
-        } = s;
-        let mut backend = CkptBackend {
-            model: self,
-            out,
-            stage: act_a,
-            nhwc,
+        let run = Run {
+            range: s.plan.leading_range(),
+            batch,
+            input: qinputs,
+            in_len,
+            streams: &[],
+            first_conv: 0,
+            prefilled: None,
         };
-        plan.execute_range(plan.leading_range(), &mut backend);
+        self.run_into_checkpoint(run, s, out);
+        out.conv_ordinal = 0;
     }
 
     /// Allocating convenience over [`QuantModel::batch_start_into`].
@@ -1381,81 +1278,23 @@ impl QuantModel {
         out: &mut BatchCheckpoint,
     ) {
         assert!(!ckpt.complete, "checkpoint already past the final layer");
-        let batch = ckpt.batch;
-        assert!(
-            batch <= s.max_batch,
-            "batch {batch} exceeds scratch capacity {}",
-            s.max_batch
-        );
-        debug_assert_eq!(
-            s.dense_streams.len(),
-            self.conv_indices().len(),
-            "BatchScratch reused across models"
-        );
-        let range = s.plan.advance_range(ckpt.conv_ordinal);
-        let seg = s.plan.conv_segment(ckpt.conv_ordinal).clone();
-        let c = self.conv_at(seg.layer_idx);
-        out.batch = batch;
+        s.check_batch(self, ckpt.batch);
+        let k = ckpt.conv_ordinal;
         // Live stashes travel with the resume state: clone from the source
         // so the source checkpoint stays reusable for sibling τ choices
         // (prefixes share *through* a residual join).
-        out.stashes.resize_with(ckpt.stashes.len(), Vec::new);
-        for (dst, src) in out.stashes.iter_mut().zip(&ckpt.stashes) {
-            dst.clear();
-            dst.extend_from_slice(src);
-        }
-        out.act.resize(batch * seg.out_len, 0);
-        {
-            // The conv half of the segment runs tiled (and, with a pool,
-            // parallel) exactly like the monolithic driver; the sequential
-            // cut is *at* the checkpoint boundary, after the join below.
-            let BatchScratch {
-                stage,
-                pcolt,
-                acc,
-                dense_streams,
-                pool,
-                arenas,
-                ..
-            } = &mut *s;
-            let cc = stream.unwrap_or(&dense_streams[ckpt.conv_ordinal]);
-            let par = pool
-                .as_deref()
-                .filter(|p| p.threads() > 1)
-                .map(|p| (p, arenas.as_slice()));
-            conv_exec_tiled(
-                c,
-                cc,
-                &seg,
-                batch,
-                &ckpt.act,
-                prefilled,
-                par,
-                stage,
-                pcolt,
-                acc,
-                &mut out.act[..],
-            );
-        }
-        out.cur_len = seg.out_len;
-        out.conv_ordinal = ckpt.conv_ordinal + 1;
-        out.complete = false;
-        // The conv's own stash side-outputs (the walker only drives the
-        // segments *after* the conv here).
-        for &slot in &seg.stash_slots {
-            out.stashes[slot].clear();
-            out.stashes[slot].extend_from_slice(&out.act[..batch * seg.out_len]);
-        }
-        let BatchScratch {
-            plan, act_a, nhwc, ..
-        } = s;
-        let mut backend = CkptBackend {
-            model: self,
-            out,
-            stage: act_a,
-            nhwc,
+        out.stashes.clone_from(&ckpt.stashes);
+        let run = Run {
+            range: s.plan.advance_range(k),
+            batch: ckpt.batch,
+            input: &ckpt.act,
+            in_len: ckpt.cur_len,
+            streams: std::slice::from_ref(&stream),
+            first_conv: k,
+            prefilled,
         };
-        plan.execute_range(range.start + 1..range.end, &mut backend);
+        self.run_into_checkpoint(run, s, out);
+        out.conv_ordinal = k + 1;
     }
 
     /// Predicted class per image of a **complete** checkpoint, appended
@@ -1477,7 +1316,7 @@ impl QuantModel {
 mod tests {
     use super::*;
     use crate::calib::calibrate_ranges;
-    use crate::forward::{ForwardScratch, SkipMaskSet};
+    use crate::forward::SkipMaskSet;
     use crate::qmodel::quantize_model;
     use cifar10sim::DatasetConfig;
     use rand::rngs::StdRng;
@@ -1525,7 +1364,6 @@ mod tests {
         let (q, data) = quantized_micro(301);
         let masks = random_masks(&q, 7, 3);
         let compiled = CompiledMasks::compile(&q, &masks);
-        let mut per_image = ForwardScratch::for_model(&q);
         let mut batch_scratch = BatchScratch::for_model(&q, 8);
         for batch in 1..=8usize {
             let flat = stacked_qinputs(&q, &data, batch);
@@ -1538,12 +1376,7 @@ mod tests {
             );
             let in_len = q.input_shape.item_len();
             for b in 0..batch {
-                let want = q.forward_compiled_scratch(
-                    &flat[b * in_len..(b + 1) * in_len],
-                    None,
-                    Some(&compiled),
-                    &mut per_image,
-                );
+                let want = q.forward_quantized(&flat[b * in_len..(b + 1) * in_len], Some(&masks));
                 let out_len = want.len();
                 assert_eq!(
                     &got[b * out_len..(b + 1) * out_len],
@@ -1559,7 +1392,7 @@ mod tests {
         let (q, data) = quantized_micro(302);
         let masks = random_masks(&q, 11, 4);
         let compiled = CompiledMasks::compile(&q, &masks);
-        let mut per_image = ForwardScratch::for_model(&q);
+        let mut per_image = BatchScratch::for_model(&q, 1);
         let mut bs = BatchScratch::for_model(&q, 5);
         let in_len = q.input_shape.item_len();
         // Ragged batch (5 then 3) with the cached conv0 pair columns.
@@ -1574,12 +1407,13 @@ mod tests {
                 &mut bs,
             );
             for (b, &pred) in preds.iter().enumerate() {
-                let want = q.predict_compiled_scratch(
+                let want = q.predict_compiled_batch_scratch(
                     &flat[b * in_len..(b + 1) * in_len],
+                    1,
                     None,
                     Some(&compiled),
                     &mut per_image,
-                );
+                )[0];
                 assert_eq!(pred, want, "batch {batch}, image {b}");
             }
         }
@@ -1621,7 +1455,7 @@ mod tests {
             let lanes = batch * positions;
             for b in 0..batch {
                 let one = q
-                    .conv0_pair_cols(&flat[b * in_len..(b + 1) * in_len])
+                    .conv0_pair_cols_batch(&flat[b * in_len..(b + 1) * in_len], 1)
                     .expect("conv first");
                 for r in 0..pair_rows {
                     let window = &cached[r * 2 * lanes + 2 * b * positions..][..2 * positions];

@@ -32,13 +32,12 @@
 //!   in wrapping i32 arithmetic — exact), and a pair with both weights 0
 //!   drops out of the stream entirely, so masked layers get *faster* with
 //!   every skipped product instead of paying a branch to avoid work;
-//! * a **lane** is one output position of one image: the same kernel runs
-//!   per-image (`lanes = positions`) and batch-major
-//!   (`lanes = B · positions`, see [`crate::batch`]), where each weight
-//!   pair broadcasts across all `B × positions` contiguous lanes in one
-//!   pass — weight streams, requantization parameters and the
-//!   branch-resolved output stage are traversed once per batch instead of
-//!   once per image;
+//! * a **lane** is one output position of one image: the kernel runs
+//!   batch-major (`lanes = B · positions`, see [`crate::batch`]; one image
+//!   is `B = 1`), where each weight pair broadcasts across all
+//!   `B × positions` contiguous lanes in one pass — weight streams,
+//!   requantization parameters and the branch-resolved output stage are
+//!   traversed once per batch instead of once per image;
 //! * per lane, accumulation still groups products `(2i, 2i+1)` ascending —
 //!   a regrouping of the reference kernel's ascending-order wrapping i32
 //!   additions, which is associative, so results are **bit-exact** with the
@@ -49,12 +48,7 @@
 //! workspace proptests over random models, τ grids and images
 //! (`tests/compiled_masks.rs`, `tests/batched_forward.rs`).
 
-use crate::forward::{
-    argmax_i8, dense_forward, gap_forward_nhwc, pool_forward, ForwardScratch, SkipMaskSet,
-};
-use crate::plan::{
-    AddSegment, ConvSegment, DenseSegment, ExecBackend, GapSegment, LogitsSegment, PoolSegment,
-};
+use crate::forward::SkipMaskSet;
 use crate::qmodel::{QConv, QLayer, QuantModel};
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -637,29 +631,11 @@ fn lane_block(pair_rows: usize, lanes: usize) -> usize {
     (block & !15).max(16)
 }
 
-/// Conv forward over pair-interleaved columns with a compiled weight-pair
-/// stream (masked or dense), writing **planar** output
-/// (`output[o * lanes + p]`) so every store is contiguous.
-///
-/// `lanes` is the column lane count: `positions` for one image,
-/// `B · positions` for a batch. Lane-blocked: channels iterate inside a
-/// block of lanes whose pair rows fit L1, so the (out_c − 1) re-reads of
-/// each row hit cache instead of streaming the whole column matrix per
-/// channel.
-pub(crate) fn conv_forward_pairs(
-    c: &QConv,
-    cc: &CompiledConv,
-    pcolt: &[i16],
-    lanes: usize,
-    acc: &mut [i32],
-    output: &mut [i8],
-) {
-    conv_forward_pairs_with_level(c, cc, pcolt, lanes, acc, output, simd_level());
-}
-
-/// [`conv_forward_pairs`] at an explicit dispatch level (tests cross-check
-/// every available level against scalar).
-pub(crate) fn conv_forward_pairs_with_level(
+/// Whole-buffer conv forward over pair-interleaved columns at an explicit
+/// dispatch level, writing **planar** output (`output[o * lanes + p]`) —
+/// lets tests cross-check every available level against scalar.
+#[cfg(test)]
+fn conv_forward_pairs_with_level(
     c: &QConv,
     cc: &CompiledConv,
     pcolt: &[i16],
@@ -696,7 +672,7 @@ pub(crate) fn conv_forward_pairs_with_level(
 ///
 /// Three shapes ride on this one function:
 /// * whole-buffer (`p_lo = 0`, `p_hi = colt_lanes`, `out_pitch =
-///   colt_lanes`, `out_base = 0`) — the per-image path and small batches;
+///   colt_lanes`, `out_base = 0`) — prefilled columns on one thread;
 /// * **image-group tiles** with tile-local columns (`colt_lanes` = the
 ///   tile's lanes, `out_base` = the tile's first lane in the full batch,
 ///   `out_pitch` = the full batch's lanes) — the fill/MAC interleave that
@@ -801,303 +777,13 @@ impl QuantModel {
             .max()
             .unwrap_or(0)
     }
-
-    /// Pair-interleaved centered columns of the *first* conv layer for one
-    /// quantized input — τ-independent, so DSE callers compute them once
-    /// per image and share them across every design (the `dse`-side
-    /// evaluation cache; [`crate::batch`] holds the batched variant).
-    ///
-    /// Returns `None` when the model does not start with a convolution.
-    pub fn conv0_pair_cols(&self, qinput: &[i8]) -> Option<Vec<i16>> {
-        self.conv0_pair_cols_batch(qinput, 1)
-    }
-
-    /// Forward pass with compiled masks, reusing caller scratch and an
-    /// optional precomputed first-conv pair-column cache.
-    ///
-    /// Bit-exact with [`QuantModel::forward_quantized`] over the boolean
-    /// mask set the compiled masks were built from.
-    pub fn forward_compiled_scratch(
-        &self,
-        qinput: &[i8],
-        conv0_pcolt: Option<&[i16]>,
-        masks: Option<&CompiledMasks>,
-        s: &mut ForwardScratch,
-    ) -> Vec<i8> {
-        let (in_a, cur_len) = self.forward_compiled_core(qinput, conv0_pcolt, masks, s);
-        let fin = if in_a {
-            &s.act_a[..cur_len]
-        } else {
-            &s.act_b[..cur_len]
-        };
-        fin.to_vec()
-    }
-
-    /// Forward driver writing into scratch; returns which ping-pong buffer
-    /// holds the logits and their length (no allocation).
-    fn forward_compiled_core(
-        &self,
-        qinput: &[i8],
-        conv0_pcolt: Option<&[i16]>,
-        masks: Option<&CompiledMasks>,
-        s: &mut ForwardScratch,
-    ) -> (bool, usize) {
-        assert_eq!(
-            qinput.len(),
-            self.input_shape.item_len(),
-            "input length mismatch"
-        );
-        s.ensure_compiled(self);
-        let cur_len = qinput.len();
-        s.act_a[..cur_len].copy_from_slice(qinput);
-        let ForwardScratch {
-            plan,
-            act_a,
-            act_b,
-            stage,
-            pcolt,
-            acc,
-            nhwc,
-            stash,
-            dense_streams,
-            ..
-        } = s;
-        let mut backend = CompiledBackend {
-            model: self,
-            masks,
-            conv0_pcolt,
-            dense_streams,
-            act_a,
-            act_b,
-            stage,
-            pcolt,
-            acc,
-            nhwc,
-            stash,
-            cur_len,
-            in_a: true,
-        };
-        plan.execute(&mut backend);
-        let in_a = backend.in_a;
-        (in_a, s.plan.logits_len())
-    }
-
-    /// Allocation-per-call convenience wrapper over
-    /// [`QuantModel::forward_compiled_scratch`].
-    pub fn forward_compiled(&self, qinput: &[i8], masks: Option<&CompiledMasks>) -> Vec<i8> {
-        let mut scratch = ForwardScratch::for_model(self);
-        self.forward_compiled_scratch(qinput, None, masks, &mut scratch)
-    }
-
-    /// Predicted class under compiled masks, reusing caller scratch —
-    /// allocation-free (argmax runs on the scratch logits in place).
-    pub fn predict_compiled_scratch(
-        &self,
-        qinput: &[i8],
-        conv0_pcolt: Option<&[i16]>,
-        masks: Option<&CompiledMasks>,
-        s: &mut ForwardScratch,
-    ) -> usize {
-        let (in_a, cur_len) = self.forward_compiled_core(qinput, conv0_pcolt, masks, s);
-        let fin = if in_a {
-            &s.act_a[..cur_len]
-        } else {
-            &s.act_b[..cur_len]
-        };
-        argmax_i8(fin)
-    }
-}
-
-/// The per-image compiled backend: pair-stream conv kernels over planar
-/// activations, with the layout transitions (NHWC input, planar interior,
-/// NHWC logits) resolved statically by the plan's fill strategies.
-struct CompiledBackend<'r, 'm> {
-    model: &'m QuantModel,
-    masks: Option<&'r CompiledMasks>,
-    conv0_pcolt: Option<&'r [i16]>,
-    dense_streams: &'r [CompiledConv],
-    act_a: &'r mut Vec<i8>,
-    act_b: &'r mut Vec<i8>,
-    stage: &'r mut Vec<i8>,
-    pcolt: &'r mut Vec<i16>,
-    acc: &'r mut Vec<i32>,
-    nhwc: &'r mut Vec<i8>,
-    /// Residual stash buffers, stored in the layout the producing segment
-    /// emitted (the plan records which).
-    stash: &'r mut Vec<Vec<i8>>,
-    cur_len: usize,
-    in_a: bool,
-}
-
-impl CompiledBackend<'_, '_> {
-    #[inline(always)]
-    fn advance(&mut self, out_len: usize) {
-        self.cur_len = out_len;
-        self.in_a = !self.in_a;
-    }
-}
-
-impl ExecBackend for CompiledBackend<'_, '_> {
-    #[inline]
-    fn conv(&mut self, seg: &ConvSegment) {
-        let c = self.model.conv_at(seg.layer_idx);
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        let positions = seg.positions;
-        let n = seg.pair_rows * 2 * positions;
-        let pc: &[i16] = match (seg.ordinal, self.conv0_pcolt) {
-            (0, Some(cached)) => {
-                assert_eq!(cached.len(), n, "conv0 pair-column cache mismatch");
-                cached
-            }
-            _ => {
-                fill_pair_cols(
-                    c,
-                    seg.planar_in,
-                    1,
-                    &src[..self.cur_len],
-                    0..1,
-                    self.stage,
-                    &mut self.pcolt[..n],
-                );
-                &self.pcolt[..n]
-            }
-        };
-        let cc = self
-            .masks
-            .and_then(|m| m.per_conv[seg.ordinal].as_ref())
-            .unwrap_or(&self.dense_streams[seg.ordinal]);
-        conv_forward_pairs(c, cc, pc, positions, self.acc, &mut dst[..seg.out_len]);
-        self.advance(seg.out_len);
-    }
-
-    #[inline]
-    fn pool(&mut self, seg: &PoolSegment) {
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        if seg.planar_in {
-            pool_forward_planar(
-                seg.in_h,
-                seg.in_w,
-                seg.c,
-                &src[..self.cur_len],
-                &mut dst[..seg.out_len],
-            );
-        } else {
-            pool_forward(
-                seg.in_h,
-                seg.in_w,
-                seg.c,
-                &src[..self.cur_len],
-                &mut dst[..seg.out_len],
-            );
-        }
-        self.advance(seg.out_len);
-    }
-
-    #[inline]
-    fn global_avg_pool(&mut self, seg: &GapSegment) {
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        if seg.planar_in {
-            gap_forward_planar(
-                seg.positions,
-                seg.c,
-                seg.positions,
-                &src[..self.cur_len],
-                &mut dst[..seg.out_len],
-            );
-        } else {
-            gap_forward_nhwc(
-                seg.positions,
-                seg.c,
-                &src[..self.cur_len],
-                &mut dst[..seg.out_len],
-            );
-        }
-        self.advance(seg.out_len);
-    }
-
-    #[inline]
-    fn dense(&mut self, seg: &DenseSegment) {
-        let d = self.model.dense_at(seg.layer_idx);
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        if let Some((positions, ch)) = seg.planar_in {
-            planar_to_nhwc(
-                &src[..self.cur_len],
-                positions,
-                ch,
-                &mut self.nhwc[..self.cur_len],
-            );
-            dense_forward(d, &self.nhwc[..self.cur_len], &mut dst[..seg.out_dim]);
-        } else {
-            dense_forward(d, &src[..self.cur_len], &mut dst[..seg.out_dim]);
-        }
-        self.advance(seg.out_dim);
-    }
-
-    #[inline(never)]
-    fn add(&mut self, seg: &AddSegment) {
-        let a = self.model.add_at(seg.layer_idx);
-        let (src, dst) = if self.in_a {
-            (&self.act_a[..], &mut self.act_b[..])
-        } else {
-            (&self.act_b[..], &mut self.act_a[..])
-        };
-        crate::batch::add_join_batched(
-            a,
-            seg,
-            1,
-            &self.stash[seg.slot][..seg.len],
-            &src[..seg.len],
-            &mut dst[..seg.len],
-        );
-        self.advance(seg.len);
-    }
-
-    #[inline(never)]
-    fn stash(&mut self, slot: usize, len: usize) {
-        let src = if self.in_a {
-            &self.act_a[..len]
-        } else {
-            &self.act_b[..len]
-        };
-        self.stash[slot][..len].copy_from_slice(src);
-    }
-
-    #[inline]
-    fn logits(&mut self, seg: &LogitsSegment) {
-        // A model ending on a conv/pool leaves the buffer planar: convert
-        // so callers always see NHWC logits.
-        if let Some((positions, ch)) = seg.planar {
-            let (src, dst) = if self.in_a {
-                (&self.act_a[..], &mut self.act_b[..])
-            } else {
-                (&self.act_b[..], &mut self.act_a[..])
-            };
-            planar_to_nhwc(&src[..seg.out_len], positions, ch, &mut dst[..seg.out_len]);
-            self.in_a = !self.in_a;
-        }
-    }
 }
 
 /// Global average pool over planar activations: each channel's plane sits
 /// at `input[c * plane_pitch ..][..positions]` (`plane_pitch = positions`
 /// per-image; a batch passes the batched pitch and per-image offsets).
-/// Bit-exact with [`gap_forward_nhwc`] — same sums, same rounding average.
+/// Bit-exact with [`crate::forward::gap_forward_nhwc`] — same sums, same
+/// rounding average.
 pub(crate) fn gap_forward_planar(
     positions: usize,
     ch: usize,
@@ -1119,7 +805,7 @@ pub(crate) fn gap_forward_planar(
 /// Fill conv `c`'s pair-interleaved columns for images `images` of a
 /// `batch`-image source into `out` (`images.len() · positions` lanes, image
 /// `b` from lane `(b − images.start) · positions`) — the one column
-/// producer of every conv on every compiled path.
+/// producer of every conv the compiled engine runs.
 ///
 /// A `planar_in` source is batch-planar: image `b`'s channel planes sit
 /// `batch` planes apart starting at plane `b` (`batch = 1` is the
@@ -1185,14 +871,10 @@ pub(crate) fn pool_forward_planar(
     }
 }
 
-/// Interleave a planar activation buffer back into NHWC order.
-pub(crate) fn planar_to_nhwc(src: &[i8], positions: usize, ch: usize, dst: &mut [i8]) {
-    planar_to_nhwc_pitched(src, positions, ch, positions, dst);
-}
-
-/// [`planar_to_nhwc`] reading channel `c`'s plane at `src[c * plane_pitch]`
-/// — the per-image gather out of a batch-major activation buffer, where a
-/// batch of `B` images spaces one image's channel planes `B` planes apart.
+/// Interleave one image's planar activations back into NHWC order, reading
+/// channel `c`'s plane at `src[c * plane_pitch]` — the per-image gather
+/// out of a batch-major activation buffer, where a batch of `B` images
+/// spaces one image's channel planes `B` planes apart.
 pub(crate) fn planar_to_nhwc_pitched(
     src: &[i8],
     positions: usize,
@@ -1211,6 +893,7 @@ pub(crate) fn planar_to_nhwc_pitched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::BatchScratch;
     use crate::calib::calibrate_ranges;
     use crate::qmodel::quantize_model;
     use cifar10sim::DatasetConfig;
@@ -1253,10 +936,11 @@ mod tests {
         for density in [2u64, 5, 50] {
             let masks = random_masks(&q, 1000 + density, density);
             let compiled = CompiledMasks::compile(&q, &masks);
+            let mut bs = BatchScratch::for_model(&q, 1);
             for i in 0..8 {
                 let qin = q.quantize_input(data.test.image(i));
                 let want = q.forward_quantized(&qin, Some(&masks));
-                let got = q.forward_compiled(&qin, Some(&compiled));
+                let got = q.forward_compiled_batch_scratch(&qin, 1, None, Some(&compiled), &mut bs);
                 assert_eq!(got, want, "density {density}, image {i}");
             }
         }
@@ -1271,7 +955,7 @@ mod tests {
         let cc = compiled.per_conv[0].as_ref().expect("conv 0 masked");
         let positions = c0.geom.out_positions();
         let qin = q.quantize_input(data.test.image(0));
-        let pcolt = q.conv0_pair_cols(&qin).expect("starts with conv");
+        let pcolt = q.conv0_pair_cols_batch(&qin, 1).expect("starts with conv");
         let mut acc = vec![0i32; positions];
         let mut want = vec![0i8; c0.geom.out_c * positions];
         conv_forward_pairs_with_level(
@@ -1324,10 +1008,11 @@ mod tests {
     #[test]
     fn compiled_exact_path_matches_unmasked_reference() {
         let (q, data) = quantized_micro(82);
+        let mut bs = BatchScratch::for_model(&q, 1);
         for i in 0..6 {
             let qin = q.quantize_input(data.test.image(i));
             assert_eq!(
-                q.forward_compiled(&qin, None),
+                q.forward_compiled_batch_scratch(&qin, 1, None, None, &mut bs),
                 q.forward_quantized(&qin, None),
                 "{i}"
             );
@@ -1339,12 +1024,20 @@ mod tests {
         let (q, data) = quantized_micro(78);
         let masks = random_masks(&q, 5, 3);
         let compiled = CompiledMasks::compile(&q, &masks);
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for i in 0..6 {
             let qin = q.quantize_input(data.test.image(i));
-            let pcolt = q.conv0_pair_cols(&qin).expect("model starts with conv");
+            let pcolt = q
+                .conv0_pair_cols_batch(&qin, 1)
+                .expect("model starts with conv");
             let want = q.forward_quantized(&qin, Some(&masks));
-            let got = q.forward_compiled_scratch(&qin, Some(&pcolt), Some(&compiled), &mut scratch);
+            let got = q.forward_compiled_batch_scratch(
+                &qin,
+                1,
+                Some(&pcolt),
+                Some(&compiled),
+                &mut scratch,
+            );
             assert_eq!(got, want, "image {i}");
         }
     }
@@ -1359,8 +1052,9 @@ mod tests {
         let compiled = CompiledMasks::compile(&q, &masks);
         assert!(compiled.per_conv.iter().all(|m| m.is_none()));
         let qin = q.quantize_input(data.test.image(0));
+        let mut bs = BatchScratch::for_model(&q, 1);
         assert_eq!(
-            q.forward_compiled(&qin, Some(&compiled)),
+            q.forward_compiled_batch_scratch(&qin, 1, None, Some(&compiled), &mut bs),
             q.forward_quantized(&qin, None)
         );
     }

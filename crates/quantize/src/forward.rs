@@ -62,48 +62,22 @@ impl SkipMaskSet {
     }
 }
 
-/// Reusable per-thread scratch buffers for the forward pass.
-///
-/// Public so batch drivers outside this crate (the DSE evaluation cache)
-/// can allocate once per worker instead of once per image.
-pub struct ForwardScratch {
-    /// The lowered execution plan every walker over this scratch follows —
-    /// built once per scratch, like the dense streams.
-    pub(crate) plan: ExecPlan,
-    pub(crate) act_a: Vec<i8>,
-    pub(crate) act_b: Vec<i8>,
-    pub(crate) cols: Vec<i8>,
-    pub(crate) centered: Vec<i16>,
-    /// One NHWC image de-interleaved to planar ahead of the pair fill of
-    /// an NHWC-input conv (compiled-mask kernels; lazily sized).
-    pub(crate) stage: Vec<i8>,
-    /// Pair-interleaved columns (compiled-mask kernels; lazily sized).
-    pub(crate) pcolt: Vec<i16>,
-    /// Per-lane i32 accumulators (compiled-mask kernels; lazily sized).
-    pub(crate) acc: Vec<i32>,
-    /// NHWC staging buffer for planar → dense boundaries (compiled path;
-    /// lazily sized).
-    pub(crate) nhwc: Vec<i8>,
-    /// Residual stash buffers, one per plan stash slot (sized at
-    /// construction; stored in the walking backend's own layout).
-    pub(crate) stash: Vec<Vec<i8>>,
-    /// τ-independent dense (nothing-skipped) pair streams per conv ordinal,
-    /// executing exact layers through the same stream kernel (compiled
-    /// path; built at construction — this is what binds the scratch to its
-    /// model).
-    pub(crate) dense_streams: Vec<crate::compiled::CompiledConv>,
+/// Reusable per-thread scratch buffers for the reference forward pass.
+pub(crate) struct ForwardScratch {
+    /// The lowered execution plan every walker over this scratch follows.
+    plan: ExecPlan,
+    act_a: Vec<i8>,
+    act_b: Vec<i8>,
+    cols: Vec<i8>,
+    centered: Vec<i16>,
+    /// Residual stash buffers, one per plan stash slot (NHWC, like every
+    /// reference activation).
+    stash: Vec<Vec<i8>>,
 }
 
 impl ForwardScratch {
-    /// Scratch sized for the largest activation / im2col buffer of `model`
-    /// — and **bound to `model`**: the dense pair streams baked in here are
-    /// that model's weights, so a scratch must not be reused across
-    /// different models (build one per model instead).
-    ///
-    /// The compiled-path column/accumulator buffers start empty and are
-    /// grown on first compiled forward, so the reference bool-mask path
-    /// pays nothing for them.
-    pub fn for_model(model: &QuantModel) -> Self {
+    /// Scratch sized for the largest activation / im2col buffer of `model`.
+    pub(crate) fn for_model(model: &QuantModel) -> Self {
         let plan = ExecPlan::lower(model);
         let max_act = plan.max_act();
         let max_cols = plan.max_cols();
@@ -114,39 +88,7 @@ impl ForwardScratch {
             act_b: vec![0; max_act],
             cols: vec![0; max_cols],
             centered: vec![0; max_cols],
-            stage: Vec::new(),
-            pcolt: Vec::new(),
-            acc: Vec::new(),
-            nhwc: Vec::new(),
             stash,
-            dense_streams: crate::compiled::dense_streams(model),
-        }
-    }
-
-    /// Grow the compiled-path buffers to the plan's requirements (no-op
-    /// once sized).
-    pub(crate) fn ensure_compiled(&mut self, model: &QuantModel) {
-        debug_assert_eq!(
-            self.dense_streams.len(),
-            model.conv_indices().len(),
-            "ForwardScratch reused across models (it is bound to the model \
-             it was constructed for)"
-        );
-        let max_stage = self.plan.max_stage();
-        if self.stage.len() < max_stage {
-            self.stage.resize(max_stage, 0);
-        }
-        let max_pcolt = self.plan.max_pair_colt();
-        if self.pcolt.len() < max_pcolt {
-            self.pcolt.resize(max_pcolt, 0);
-        }
-        let max_positions = self.plan.max_positions();
-        if self.acc.len() < max_positions {
-            self.acc.resize(max_positions, 0);
-        }
-        let max_act = self.act_a.len();
-        if self.nhwc.len() < max_act {
-            self.nhwc.resize(max_act, 0);
         }
     }
 }
@@ -214,7 +156,6 @@ impl QuantModel {
             cols,
             centered,
             stash,
-            ..
         } = s;
         let mut backend = RefBackend {
             model: self,

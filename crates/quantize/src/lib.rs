@@ -24,12 +24,15 @@
 //! must agree with this reference bit-for-bit; integration tests enforce it.
 
 //!
-//! For the DSE hot path, [`compiled::CompiledMasks`] lowers a [`SkipMaskSet`]
-//! into branch-free per-channel retained-product streams executed over
-//! transposed columns (broadcast-weight kernels; the MCU-side SMLAD-pair
-//! shape stays in [`tinytensor::simd`] as the codegen model);
-//! [`QuantModel::forward_compiled_scratch`] runs them bit-exactly against
-//! the reference path, optionally reusing cached first-conv columns.
+//! For the DSE and serving hot paths, [`compiled::CompiledMasks`] lowers a
+//! [`SkipMaskSet`] into branch-free per-channel retained-product streams
+//! executed over pair-interleaved columns (broadcast-weight kernels; the
+//! MCU-side SMLAD-pair shape stays in [`tinytensor::simd`] as the codegen
+//! model). [`batch`] is the one compiled host engine that runs them —
+//! per-image inference is its `batch = 1` — bit-exactly against the
+//! reference path, monolithically
+//! ([`QuantModel::predict_compiled_batch_scratch`]) or resumably from
+//! [`BatchCheckpoint`]s, optionally reusing cached first-conv columns.
 
 // The workspace denies `unsafe_code`; the three modules implementing the
 // parallel batch path (lifetime-erased pool dispatch, shared-arena cells,
@@ -49,7 +52,7 @@ pub mod qmodel;
 pub use batch::{BatchCheckpoint, BatchScratch};
 pub use calib::calibrate_ranges;
 pub use compiled::{simd_level_name, CompiledConv, CompiledMasks};
-pub use forward::{argmax_i8, ForwardScratch, SkipMaskSet};
+pub use forward::{argmax_i8, SkipMaskSet};
 pub use plan::{
     AddSegment, ConvSegment, DenseSegment, ExecBackend, ExecPlan, GapSegment, LogitsSegment,
     PlanError, PoolSegment, Segment,

@@ -1,13 +1,13 @@
 //! Execution-plan IR: one lowering of a [`QuantModel`], one layer-graph
 //! walker, shared by **every** engine in the workspace.
 //!
-//! Before this module each engine — the boolean-mask reference
-//! ([`crate::forward`]), the per-image compiled path ([`crate::compiled`]),
-//! the batch-major path and its checkpoint resume ([`crate::batch`]), the
+//! Every engine — the boolean-mask reference ([`crate::forward`]), the
+//! batch-major compiled engine with its checkpoint resume
+//! ([`crate::batch`]; per-image inference is its `batch = 1`), the
 //! CMSIS-style exact engine (`cmsisnn`) and the unpacked straight-line
-//! engine (`unpackgen`) — re-matched `QLayer` with its own hand-rolled
-//! traversal loop, scratch sizing and logits epilogue. Adding one layer
-//! kind (or one backend) meant touching five walkers.
+//! engine (`unpackgen`) — walks the model through this one lowering
+//! instead of re-matching `QLayer` with its own traversal loop, scratch
+//! sizing and logits epilogue.
 //!
 //! [`ExecPlan::lower`] walks the model **once** and produces an ordered
 //! list of typed [`Segment`]s:
@@ -234,11 +234,15 @@ impl Segment {
     }
 }
 
-/// Monomorphized per-segment executors: one implementation per engine.
+/// Monomorphized per-segment executors: one implementation per engine —
+/// the boolean-mask reference, the batch-major compiled engine (per-image
+/// inference is its `batch = 1`; checkpoint resume drives it over a plan
+/// range), `cmsisnn` and `unpackgen`.
 ///
 /// Implementations keep every hot inner loop (`#[inline]` executors over
 /// the backend's own scratch) — the walker only dispatches. Executors are
-/// invoked in plan order; the logits executor runs exactly once, last.
+/// invoked in plan order; a whole-plan run invokes the logits executor
+/// exactly once, last.
 pub trait ExecBackend {
     /// Execute one convolution segment.
     fn conv(&mut self, seg: &ConvSegment);
@@ -577,10 +581,11 @@ impl ExecPlan {
     }
 
     /// Drive `backend` through `range` (resumable execution: leading
-    /// prefix, one checkpoint segment, tail). A range starting at 0 first
-    /// records any stash-of-the-input slots; after each segment its stash
-    /// side-outputs are recorded — the walker owns stash *timing*, backends
-    /// own the copy.
+    /// prefix, one checkpoint segment, tail). A non-empty range starting at
+    /// 0 first records any stash-of-the-input slots (so an empty leading
+    /// prefix leaves them to the first checkpoint segment); after each
+    /// segment its stash side-outputs are recorded — the walker owns stash
+    /// *timing*, backends own the copy.
     ///
     /// Stash-free plans (every chain model) take a dedicated tight loop:
     /// the per-segment stash dispatch, dead as it is for them, measurably
@@ -601,7 +606,7 @@ impl ExecPlan {
             }
             return;
         }
-        if range.start == 0 {
+        if range.start == 0 && !range.is_empty() {
             for &slot in &self.input_stashes {
                 backend.stash(slot, self.input_len);
             }

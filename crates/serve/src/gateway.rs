@@ -663,8 +663,21 @@ mod tests {
     use crate::options::ServeOptionsBuilder;
     use crate::queue::Reply;
     use crate::registry::CostContract;
-    use quantize::{calibrate_ranges, quantize_model, ForwardScratch};
+    use quantize::{
+        argmax_i8, calibrate_ranges, quantize_model, BatchScratch, CompiledMasks, QuantModel,
+    };
     use signif::{capture_mean_inputs, SignificanceMap, TauAssignment};
+
+    /// One image's predicted class through the batch engine at
+    /// `batch = 1` — the per-image reference batched replies must equal.
+    fn predict_one(
+        q: &QuantModel,
+        masks: Option<&CompiledMasks>,
+        image: &[f32],
+        s: &mut BatchScratch,
+    ) -> usize {
+        q.predict_compiled_batch_scratch(&q.quantize_input(image), 1, None, masks, s)[0]
+    }
 
     fn deployed(name: &str, tau: f64, seed: u64) -> (DeployedModel, cifar10sim::SyntheticCifar) {
         let data = cifar10sim::generate(cifar10sim::DatasetConfig::tiny(seed));
@@ -717,15 +730,10 @@ mod tests {
                     .expect("submit"),
             );
         }
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for (i, rx) in rxs.into_iter().enumerate() {
             let reply = served(rx);
-            let want = q.predict_compiled_scratch(
-                &q.quantize_input(data.test.image(i)),
-                None,
-                Some(&masks),
-                &mut scratch,
-            );
+            let want = predict_one(&q, Some(&masks), data.test.image(i), &mut scratch);
             assert_eq!(reply.predicted, want, "request {i}");
             assert!(reply.batch_size >= 1 && reply.batch_size <= 4);
             assert_eq!(reply.model, "m");
@@ -765,15 +773,10 @@ mod tests {
                     .expect("submit"),
             );
         }
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for (i, rx) in rxs.into_iter().enumerate() {
             let reply = served(rx);
-            let want = q.predict_compiled_scratch(
-                &q.quantize_input(data.test.image(i)),
-                None,
-                Some(&masks),
-                &mut scratch,
-            );
+            let want = predict_one(&q, Some(&masks), data.test.image(i), &mut scratch);
             assert_eq!(reply.predicted, want, "request {i}");
         }
         assert_eq!(gw.stats().worker_crashes, 0);
@@ -952,15 +955,15 @@ mod tests {
         let img = data.test.image(0);
         let ra = gw.submit(Request::image("a", img)).expect("a");
         let rb = gw.submit(Request::image("b", img)).expect("b");
-        let mut sa = ForwardScratch::for_model(&qa);
-        let mut sb = ForwardScratch::for_model(&qb);
+        let mut sa = BatchScratch::for_model(&qa, 1);
+        let mut sb = BatchScratch::for_model(&qb, 1);
         assert_eq!(
             served(ra).predicted,
-            qa.predict_compiled_scratch(&qa.quantize_input(img), None, Some(&ma), &mut sa)
+            predict_one(&qa, Some(&ma), img, &mut sa)
         );
         assert_eq!(
             served(rb).predicted,
-            qb.predict_compiled_scratch(&qb.quantize_input(img), None, Some(&mb), &mut sb)
+            predict_one(&qb, Some(&mb), img, &mut sb)
         );
         gw.shutdown();
     }
@@ -1039,13 +1042,12 @@ mod tests {
                     .expect("ok"),
             );
         }
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for (i, rx) in rxs.into_iter().enumerate() {
-            let want = q.predict_compiled_scratch(
-                &q.quantize_input(data.test.image(i)),
-                None,
-                None,
-                &mut scratch,
+            let want = predict_one(&q, None, data.test.image(i), &mut scratch);
+            assert_eq!(
+                want,
+                argmax_i8(&q.forward_quantized(&q.quantize_input(data.test.image(i)), None))
             );
             assert_eq!(served(rx).predicted, want, "request {i}");
         }
@@ -1086,13 +1088,12 @@ mod tests {
                     .expect("ok"),
             );
         }
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for (i, rx) in rxs.into_iter().enumerate() {
-            let want = q.predict_compiled_scratch(
-                &q.quantize_input(data.test.image(i)),
-                None,
-                None,
-                &mut scratch,
+            let want = predict_one(&q, None, data.test.image(i), &mut scratch);
+            assert_eq!(
+                want,
+                argmax_i8(&q.forward_quantized(&q.quantize_input(data.test.image(i)), None))
             );
             assert_eq!(served(rx).predicted, want, "request {i}");
         }
@@ -1301,6 +1302,52 @@ mod tests {
             gw.submit(Request::image("m", data.test.image(1)))
                 .expect("ok"),
         );
+        gw.shutdown();
+    }
+
+    #[test]
+    fn same_name_rollout_serves_the_new_weights() {
+        // A worker's scratch bakes in its model's dense weight streams, so
+        // a rollout that installs *different weights* under the same name
+        // must not keep serving the old ones — exact designs run every
+        // layer through those streams, which makes staleness visible.
+        let exact = |seed: u64| {
+            let data = cifar10sim::generate(cifar10sim::DatasetConfig::tiny(seed));
+            let m = tinynn::zoo::mini_cifar(seed);
+            let ranges = calibrate_ranges(&m, &data.train.take(8));
+            let q = quantize_model(&m, &ranges);
+            let masks = CompiledMasks::none(q.conv_indices().len());
+            let contract = CostContract {
+                cycles: 1,
+                latency_ms: 0.1,
+                energy_mj: 0.001,
+                flash_bytes: 1024,
+            };
+            (DeployedModel::from_parts("m", q, masks, contract), data)
+        };
+        let (old, data) = exact(86);
+        let (new, _) = exact(87);
+        let q = new.model.clone();
+        let reg = Registry::new();
+        reg.deploy(old).unwrap();
+        let gw = Gateway::start(reg, lenient().workers(1).build().expect("opts"));
+        // Warm the worker's scratch on the old weights.
+        served(
+            gw.submit(Request::image("m", data.test.image(0)))
+                .expect("ok"),
+        );
+        gw.registry().deploy(new).unwrap();
+        let rxs: Vec<_> = (0..32)
+            .map(|i| {
+                gw.submit(Request::image("m", data.test.image(i)))
+                    .expect("ok")
+            })
+            .collect();
+        for (i, rx) in rxs.into_iter().enumerate() {
+            let qin = q.quantize_input(data.test.image(i));
+            let want = argmax_i8(&q.forward_quantized(&qin, None));
+            assert_eq!(served(rx).predicted, want, "request {i}");
+        }
         gw.shutdown();
     }
 

@@ -2,9 +2,9 @@
 //!
 //! Each worker owns exactly one `Shard` —
 //! it is the only thread that pops the shard's queue, and its scratch
-//! arenas (one [`BatchScratch`] per deployed model) live on its own
-//! stack, so the execution path shares nothing mutable with the rest of
-//! the fleet. PR 6's failure domains all live *per shard*:
+//! arenas (one [`BatchScratch`] per deployed model, rebuilt when a rollout
+//! installs new weights under the same name) live on its own stack, so the
+//! execution path shares nothing mutable with the rest of the fleet. PR 6's failure domains all live *per shard*:
 //!
 //! * **deadlines** — requests that cannot finish inside their budget
 //!   resolve [`Outcome::Expired`] before burning this worker's time;
@@ -23,7 +23,8 @@
 //!
 //! **Shadow execution** (closed accuracy loop): requests stamped
 //! `shadow` at the gateway are, *after their serving replies ship*, also
-//! run through the exact (unmasked) engine on this worker. Prediction
+//! run through the exact (unmasked) engine on this worker — the serving
+//! scratch at `batch = 1` without masks. Prediction
 //! disagreement feeds the per-model health monitor and the retune replay
 //! buffer; a shadow failure (panic at `shadow.exec`, or a genuine exact-
 //! engine crash) is counted and swallowed — it can never touch a serving
@@ -35,7 +36,7 @@ use crate::gateway::FleetStats;
 use crate::monitor::{Monitor, ReplaySample};
 use crate::queue::{AdmissionQueue, Crashed, Expired, Outcome, Reply, Unserved};
 use crate::registry::Registry;
-use quantize::{BatchPool, BatchScratch, ForwardScratch};
+use quantize::{BatchPool, BatchScratch, QuantModel};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -134,16 +135,17 @@ pub(crate) fn supervised_worker(ctx: WorkerCtx) {
 
 /// One life of a worker: drain batches from its shard until the queue
 /// closes (Drained) or a batch panics (Crashed). One reusable
-/// [`BatchScratch`] per deployed model; replies carry the queued/exec
-/// latency breakdown and the ride-along batch size.
+/// [`BatchScratch`] per deployed model snapshot; replies carry the
+/// queued/exec latency breakdown and the ride-along batch size.
 fn worker_run(ctx: &WorkerCtx) -> WorkerExit {
     // The intra-batch pool lives one worker life: a crash discards it
     // with the scratches (its threads park between batches, so an idle
     // pool costs nothing). `threads == 1` skips pool creation entirely —
     // the serial path is untouched.
     let pool = (ctx.intra_batch_threads > 1).then(|| BatchPool::new(ctx.intra_batch_threads));
-    let mut scratches: HashMap<String, BatchScratch> = HashMap::new();
-    let mut shadow_scratches: HashMap<String, ForwardScratch> = HashMap::new();
+    // Keyed by name, tagged with the model snapshot the scratch was built
+    // for: a scratch bakes in its model's dense weight streams.
+    let mut scratches: HashMap<String, (Arc<QuantModel>, BatchScratch)> = HashMap::new();
     // EWMA of observed batch execution time: the deadline margin — a
     // request whose remaining slack is below the expected execution time
     // would expire mid-flight, so it is expired up front instead. The
@@ -200,11 +202,20 @@ fn worker_run(ctx: &WorkerCtx) -> WorkerExit {
         }
         let n = live.len();
         let in_len = entry.model.input_shape.item_len();
-        let scratch = scratches.entry(batch.model.clone()).or_insert_with(|| {
+        let fresh_scratch = || {
             let mut s = BatchScratch::for_model(&entry.model, ctx.max_batch);
             s.set_pool(pool.clone());
-            s
-        });
+            (Arc::clone(&entry.model), s)
+        };
+        let cached = scratches
+            .entry(batch.model.clone())
+            .or_insert_with(fresh_scratch);
+        // A rollout (deploy, canary promotion) that installs new weights
+        // under the same name must not run on the old model's streams.
+        if !Arc::ptr_eq(&cached.0, &entry.model) {
+            *cached = fresh_scratch();
+        }
+        let scratch = &mut cached.1;
         let mut flat = Vec::with_capacity(n * in_len);
         for r in &live {
             // Admission validated the length; this is defense in depth.
@@ -278,15 +289,16 @@ fn worker_run(ctx: &WorkerCtx) -> WorkerExit {
         // Shadow execution runs strictly after the serving replies ship:
         // the exact engine's cost and failures are invisible to clients.
         for (qinput, approx_pred) in shadows {
-            let fscratch = shadow_scratches
+            let scratch = &mut scratches
                 .entry(batch.model.clone())
-                .or_insert_with(|| ForwardScratch::for_model(&entry.model));
+                .or_insert_with(fresh_scratch)
+                .1;
             let exact = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 apply_fault(faults::SITE_SHADOW_EXEC, ctx.shard.index);
                 // masks = None: the exact (unmasked) engine.
                 entry
                     .model
-                    .predict_compiled_scratch(&qinput, None, None, fscratch)
+                    .predict_compiled_batch_scratch(&qinput, 1, None, None, scratch)[0]
             }));
             match exact {
                 Ok(exact_pred) => {
@@ -303,9 +315,10 @@ fn worker_run(ctx: &WorkerCtx) -> WorkerExit {
                     ctx.monitor.record_shadow(&batch.model, disagreed, sample);
                 }
                 Err(_) => {
-                    // A panicked shadow may have poisoned its scratch:
-                    // drop it; the serving reply already shipped.
-                    shadow_scratches.remove(&batch.model);
+                    // A panicked shadow may have poisoned the model's
+                    // scratch: drop it so the next use rebuilds it; the
+                    // serving reply already shipped.
+                    scratches.remove(&batch.model);
                     ctx.monitor.record_shadow_failure(&batch.model);
                 }
             }

@@ -17,7 +17,7 @@ use ataman_serve::{
     Priority, Registry, Request, RetuneError, RetuneOptions, RollbackReason, ServeOptions,
     SubmitError,
 };
-use quantize::{calibrate_ranges, quantize_model, CompiledMasks, ForwardScratch};
+use quantize::{calibrate_ranges, quantize_model, BatchScratch, CompiledMasks};
 use signif::{capture_mean_inputs, SignificanceMap, TauAssignment};
 use std::sync::{Mutex, MutexGuard, Once};
 use std::time::{Duration, Instant};
@@ -683,12 +683,12 @@ fn disagreement_spike_rolls_back_within_one_evaluation_window() {
     let heavy_masks = sig.compiled_masks_for_tau(&q, &TauAssignment::global(10.0));
     let cand = DeployedModel::from_parts("cand", q.clone(), heavy_masks.clone(), contract(0.1));
     // Find inputs where masked != exact, up front and deterministically.
-    let mut fs = ForwardScratch::for_model(&q);
+    let mut one = BatchScratch::for_model(&q, 1);
     let drifting: Vec<Vec<i8>> = inputs
         .iter()
         .filter(|qi| {
-            q.predict_compiled_scratch(qi, None, Some(&heavy_masks), &mut fs)
-                != q.predict_compiled_scratch(qi, None, None, &mut fs)
+            q.predict_compiled_batch_scratch(qi, 1, None, Some(&heavy_masks), &mut one)
+                != q.predict_compiled_batch_scratch(qi, 1, None, None, &mut one)
         })
         .cloned()
         .collect();
@@ -821,12 +821,12 @@ fn faulted_retune_is_a_typed_error_and_deploys_nothing() {
     // buffer retune feeds on.
     let (_, q, sig, inputs) = model_with_significance("m", 25);
     let heavy_masks = sig.compiled_masks_for_tau(&q, &TauAssignment::global(10.0));
-    let mut fs = ForwardScratch::for_model(&q);
+    let mut one = BatchScratch::for_model(&q, 1);
     let drifting: Vec<Vec<i8>> = inputs
         .iter()
         .filter(|qi| {
-            q.predict_compiled_scratch(qi, None, Some(&heavy_masks), &mut fs)
-                != q.predict_compiled_scratch(qi, None, None, &mut fs)
+            q.predict_compiled_batch_scratch(qi, 1, None, Some(&heavy_masks), &mut one)
+                != q.predict_compiled_batch_scratch(qi, 1, None, None, &mut one)
         })
         .cloned()
         .collect();

@@ -1,13 +1,12 @@
 //! Property tests for the batch-major compiled execution path: for any
 //! random model, any τ grid (via real significance scores), any batch size
 //! and any ragged final batch, the batched forward must be bit-exact with
-//! the per-image compiled forward — and hence, transitively (see
-//! `compiled_masks.rs`), with the boolean-mask reference.
+//! the same engine run one image at a time (`batch = 1`) and with the
+//! boolean-mask reference.
 
 use proptest::prelude::*;
 use quantize::{
-    calibrate_ranges, quantize_model, BatchScratch, CompiledMasks, ForwardScratch, QuantModel,
-    SkipMaskSet,
+    calibrate_ranges, quantize_model, BatchScratch, CompiledMasks, QuantModel, SkipMaskSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,8 +56,8 @@ proptest! {
 
     /// Random boolean masks: the batched forward over every batch split of
     /// the image set (full and ragged batches, with and without the
-    /// batched conv0 pair-column cache) equals the per-image compiled
-    /// forward bit-for-bit.
+    /// batched conv0 pair-column cache) equals the same engine run one
+    /// image at a time, and that equals the boolean-mask reference.
     #[test]
     fn batched_equals_per_image_for_any_mask_and_batch_size(
         seed in 0u64..5000,
@@ -82,16 +81,19 @@ proptest! {
         }
         let compiled = CompiledMasks::compile(&q, &masks);
         let in_len = q.input_shape.item_len();
-        let mut per_image = ForwardScratch::for_model(&q);
+        let mut per_image = BatchScratch::for_model(&q, 1);
         let mut bs = BatchScratch::for_model(&q, batch);
 
-        // Per-image references.
+        // Per-image references: one image at a time, checked against the
+        // boolean-mask reference.
         let flat_all = stacked(&q, &ds, n_images);
-        let refs: Vec<Vec<i8>> = (0..n_images)
-            .map(|i| q.forward_compiled_scratch(
-                &flat_all[i * in_len..(i + 1) * in_len], None, Some(&compiled), &mut per_image,
-            ))
-            .collect();
+        let mut refs: Vec<Vec<i8>> = Vec::with_capacity(n_images);
+        for i in 0..n_images {
+            let qin = &flat_all[i * in_len..(i + 1) * in_len];
+            let one = q.forward_compiled_batch_scratch(qin, 1, None, Some(&compiled), &mut per_image);
+            prop_assert_eq!(&one, &q.forward_quantized(qin, Some(&masks)), "image {} at B=1", i);
+            refs.push(one);
+        }
 
         // Batched over the whole set in `batch`-sized chunks (ragged tail).
         let mut start = 0usize;
@@ -119,8 +121,8 @@ proptest! {
         }
     }
 
-    /// Real τ-driven masks: batched predictions equal per-image
-    /// predictions, and both equal the boolean-mask reference argmax.
+    /// Real τ-driven masks: batched predictions equal the boolean-mask
+    /// reference argmax.
     #[test]
     fn batched_predictions_equal_reference_for_any_tau(
         seed in 0u64..5000,

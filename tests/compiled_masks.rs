@@ -1,10 +1,11 @@
 //! Property tests for the compiled skip-mask execution path: for any random
 //! model, any τ grid (via real significance scores) and any random mask,
-//! the compiled kernels must be bit-exact with the `Vec<bool>` reference.
+//! the compiled kernels — one image at a time, i.e. the batch engine at
+//! `batch = 1` — must be bit-exact with the `Vec<bool>` reference.
 
 use proptest::prelude::*;
 use quantize::{
-    calibrate_ranges, quantize_model, CompiledMasks, ForwardScratch, QuantModel, SkipMaskSet,
+    calibrate_ranges, quantize_model, BatchScratch, CompiledMasks, QuantModel, SkipMaskSet,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,15 +67,15 @@ proptest! {
                 Some((0..len).map(|_| rng.gen_range(0u64..skip_mod) == 0).collect());
         }
         let compiled = CompiledMasks::compile(&q, &masks);
-        let mut scratch = ForwardScratch::for_model(&q);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for i in 0..ds.len() {
             let qin = q.quantize_input(ds.image(i));
             let want = q.forward_quantized(&qin, Some(&masks));
-            let got = q.forward_compiled(&qin, Some(&compiled));
+            let got = q.forward_compiled_batch_scratch(&qin, 1, None, Some(&compiled), &mut scratch);
             prop_assert_eq!(&got, &want, "image {} plain", i);
-            let cols = q.conv0_pair_cols(&qin).expect("first layer is conv");
-            let cached = q.forward_compiled_scratch(
-                &qin, Some(&cols), Some(&compiled), &mut scratch,
+            let cols = q.conv0_pair_cols_batch(&qin, 1).expect("first layer is conv");
+            let cached = q.forward_compiled_batch_scratch(
+                &qin, 1, Some(&cols), Some(&compiled), &mut scratch,
             );
             prop_assert_eq!(&cached, &want, "image {} conv0-cached", i);
         }
@@ -99,10 +100,11 @@ proptest! {
         let direct = sig.compiled_masks_for_tau(&q, &taus);
         let via_bool = CompiledMasks::compile(&q, &bool_masks);
         prop_assert_eq!(&direct, &via_bool);
+        let mut scratch = BatchScratch::for_model(&q, 1);
         for i in 0..ds.len() {
             let qin = q.quantize_input(ds.image(i));
             let want = q.forward_quantized(&qin, Some(&bool_masks));
-            let got = q.forward_compiled(&qin, Some(&direct));
+            let got = q.forward_compiled_batch_scratch(&qin, 1, None, Some(&direct), &mut scratch);
             prop_assert_eq!(&got, &want, "tau {} image {}", tau, i);
         }
     }

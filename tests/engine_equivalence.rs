@@ -4,19 +4,19 @@
 //! every engine that consumes the shared `ExecPlan` must produce
 //! bit-identical logits:
 //!
-//! * masked: boolean reference ≡ compiled per-image ≡ batch-major (all
-//!   batch splits incl. ragged) ≡ unpacked straight-line;
+//! * masked: boolean reference ≡ batch-major compiled engine (at `B = 1`
+//!   and in every batch split incl. ragged) ≡ unpacked straight-line;
 //! * exact (no masks): the above plus the CMSIS-style engine and the
 //!   X-CUBE-AI comparator.
 //!
 //! This is the acceptance property of the ExecPlan refactor: one walker,
-//! five backends, one ground truth. Inputs carry 1–3 channels, so the
+//! four backends plus the X-CUBE comparator, one ground truth. Inputs carry 1–3 channels, so the
 //! NHWC-staged conv-0 column fill sees pairs that cross kernel positions
 //! (odd channel counts) as well as pairs that do not.
 
 use ataman_repro::prelude::*;
 use proptest::prelude::*;
-use quantize::{BatchScratch, CompiledMasks, ForwardScratch};
+use quantize::{BatchCheckpoint, BatchScratch, CompiledMasks, ExecPlan, Segment};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tinytensor::Shape4;
@@ -120,9 +120,10 @@ fn random_masks(q: &QuantModel, seed: u64, skip_mod: u64) -> SkipMaskSet {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// All five plan-consuming engines (and the X-CUBE comparator) agree
-    /// bit-for-bit on exact models; the four mask-capable paths agree under
-    /// random skip masks — for every head shape and batch split.
+    /// The four plan-consuming engines and the X-CUBE comparator agree
+    /// bit-for-bit on exact models; the mask-capable paths (the compiled
+    /// engine at `B = 1` and in ragged batch splits) agree under random
+    /// skip masks — for every head shape.
     #[test]
     fn five_engines_bit_exact(
         seed in 0u64..5000,
@@ -141,7 +142,8 @@ proptest! {
         let qinputs: Vec<Vec<i8>> =
             (0..n_images).map(|i| q.quantize_input(ds.image(i))).collect();
 
-        // --- exact: reference ≡ cmsis ≡ xcube ≡ unpacked ≡ compiled ------
+        // --- exact: reference ≡ cmsis ≡ xcube ≡ unpacked ≡ batch-1 -------
+        let mut one = BatchScratch::for_model(&q, 1);
         let cmsis = CmsisEngine::new(&q);
         let xcube = XCubeEngine::new(&q);
         let unpacked = UnpackedEngine::new(&q, None, UnpackOptions::default());
@@ -150,20 +152,20 @@ proptest! {
             prop_assert_eq!(&cmsis.infer_quantized(qin).0, &want, "cmsis img {}", i);
             prop_assert_eq!(&xcube.infer(ds.image(i)).0, &want, "xcube img {}", i);
             prop_assert_eq!(&unpacked.infer_quantized(qin).0, &want, "unpacked img {}", i);
-            prop_assert_eq!(&q.forward_compiled(qin, None), &want, "compiled img {}", i);
+            let got = q.forward_compiled_batch_scratch(qin, 1, None, None, &mut one);
+            prop_assert_eq!(&got, &want, "batch-1 img {}", i);
         }
 
-        // --- masked: reference ≡ compiled ≡ batch ≡ unpacked -------------
+        // --- masked: reference ≡ batch-1 ≡ batch ≡ unpacked --------------
         let masks = random_masks(&q, seed, skip_mod);
         let compiled = CompiledMasks::compile(&q, &masks);
         let unpacked_m = UnpackedEngine::new(&q, Some(&masks), UnpackOptions::default());
-        let mut fs = ForwardScratch::for_model(&q);
         let mut refs = Vec::new();
         for (i, qin) in qinputs.iter().enumerate() {
             let want = q.forward_quantized(qin, Some(&masks));
             prop_assert_eq!(&unpacked_m.infer_quantized(qin).0, &want, "unpacked masked {}", i);
-            let got = q.forward_compiled_scratch(qin, None, Some(&compiled), &mut fs);
-            prop_assert_eq!(&got, &want, "compiled masked {}", i);
+            let got = q.forward_compiled_batch_scratch(qin, 1, None, Some(&compiled), &mut one);
+            prop_assert_eq!(&got, &want, "batch-1 masked {}", i);
             refs.push(want);
         }
         // Batched, in ragged splits of `batch`.
@@ -213,7 +215,8 @@ proptest! {
         let qinputs: Vec<Vec<i8>> =
             (0..n_images).map(|i| q.quantize_input(ds.image(i))).collect();
 
-        // --- exact: reference ≡ cmsis ≡ xcube ≡ unpacked ≡ compiled ------
+        // --- exact: reference ≡ cmsis ≡ xcube ≡ unpacked ≡ batch-1 -------
+        let mut one = BatchScratch::for_model(&q, 1);
         let cmsis = CmsisEngine::new(&q);
         let xcube = XCubeEngine::new(&q);
         let unpacked = UnpackedEngine::new(&q, None, UnpackOptions::default());
@@ -222,20 +225,20 @@ proptest! {
             prop_assert_eq!(&cmsis.infer_quantized(qin).0, &want, "cmsis img {}", i);
             prop_assert_eq!(&xcube.infer(ds.image(i)).0, &want, "xcube img {}", i);
             prop_assert_eq!(&unpacked.infer_quantized(qin).0, &want, "unpacked img {}", i);
-            prop_assert_eq!(&q.forward_compiled(qin, None), &want, "compiled img {}", i);
+            let got = q.forward_compiled_batch_scratch(qin, 1, None, None, &mut one);
+            prop_assert_eq!(&got, &want, "batch-1 img {}", i);
         }
 
-        // --- masked: reference ≡ compiled ≡ batch ≡ unpacked -------------
+        // --- masked: reference ≡ batch-1 ≡ batch ≡ unpacked --------------
         let masks = random_masks(&q, seed, skip_mod);
         let compiled = CompiledMasks::compile(&q, &masks);
         let unpacked_m = UnpackedEngine::new(&q, Some(&masks), UnpackOptions::default());
-        let mut fs = ForwardScratch::for_model(&q);
         let mut refs = Vec::new();
         for (i, qin) in qinputs.iter().enumerate() {
             let want = q.forward_quantized(qin, Some(&masks));
             prop_assert_eq!(&unpacked_m.infer_quantized(qin).0, &want, "unpacked masked {}", i);
-            let got = q.forward_compiled_scratch(qin, None, Some(&compiled), &mut fs);
-            prop_assert_eq!(&got, &want, "compiled masked {}", i);
+            let got = q.forward_compiled_batch_scratch(qin, 1, None, Some(&compiled), &mut one);
+            prop_assert_eq!(&got, &want, "batch-1 masked {}", i);
             refs.push(want);
         }
         // Batched, in ragged splits of `batch`.
@@ -267,7 +270,7 @@ proptest! {
         }
         let want = q.predict_compiled_batch_scratch(&flat, cb, None, Some(&compiled), &mut bs);
         let mut cur = q.batch_start(&flat, cb, &mut bs);
-        let mut next = quantize::BatchCheckpoint::empty();
+        let mut next = BatchCheckpoint::empty();
         let mut cols = Vec::new();
         while let Some(k) = cur.next_conv_ordinal() {
             q.batch_fill_conv_cols(&cur, &mut bs, &mut cols);
@@ -311,12 +314,12 @@ proptest! {
 
         // Shared prefix: everything up to (but not including) the last conv.
         let mut shared = q.batch_start(&flat, batch, &mut bs);
-        let mut tmp = quantize::BatchCheckpoint::empty();
+        let mut tmp = BatchCheckpoint::empty();
         for k in 0..last {
             q.batch_advance_into(&shared, ca.per_conv[k].as_ref(), None, &mut bs, &mut tmp);
             std::mem::swap(&mut shared, &mut tmp);
         }
-        let mut leaf = quantize::BatchCheckpoint::empty();
+        let mut leaf = BatchCheckpoint::empty();
         let mut preds = Vec::new();
         for (cm, label) in [(&ca, "a"), (&cb, "b")] {
             q.batch_advance_into(&shared, cm.per_conv[last].as_ref(), None, &mut bs, &mut leaf);
@@ -351,7 +354,7 @@ proptest! {
         let want = q.predict_compiled_batch_scratch(&flat, batch, None, Some(&compiled), &mut bs);
 
         let mut cur = q.batch_start(&flat, batch, &mut bs);
-        let mut next = quantize::BatchCheckpoint::empty();
+        let mut next = BatchCheckpoint::empty();
         let mut cols = Vec::new();
         while let Some(k) = cur.next_conv_ordinal() {
             q.batch_fill_conv_cols(&cur, &mut bs, &mut cols);
@@ -378,6 +381,7 @@ fn zoo_resnet_model_reaches_all_backends() {
     let cmsis = CmsisEngine::new(&q);
     let unpacked = UnpackedEngine::new(&q, None, UnpackOptions::default());
     let xcube = XCubeEngine::new(&q);
+    let mut one = BatchScratch::for_model(&q, 1);
     for i in 0..6 {
         let img = data.test.image(i);
         let want = q.forward(img);
@@ -385,9 +389,9 @@ fn zoo_resnet_model_reaches_all_backends() {
         assert_eq!(unpacked.infer(img).0, want, "unpacked img {i}");
         assert_eq!(xcube.infer(img).0, want, "xcube img {i}");
         assert_eq!(
-            q.forward_compiled(&q.quantize_input(img), None),
+            q.forward_compiled_batch_scratch(&q.quantize_input(img), 1, None, None, &mut one),
             want,
-            "compiled img {i}"
+            "batch-1 img {i}"
         );
     }
     // Cycle accounting covers the Add segments in engine and estimator
@@ -430,6 +434,62 @@ fn zoo_resnet_model_reaches_all_backends() {
     }
 }
 
+/// A checkpoint drops a residual stash once the Add consuming it has run:
+/// walking the mini-ResNet's checkpoint chain, every checkpoint holds its
+/// activations plus exactly the stashes still live at its boundary, so a
+/// descendant stops cloning (and a DSE trie stack stops holding) a dead
+/// skip operand.
+#[test]
+fn checkpoint_releases_consumed_residual_stash() {
+    let data = generate(DatasetConfig::tiny(79));
+    let m = zoo::mini_resnet(79);
+    let ranges = calibrate_ranges(&m, &data.train.take(8));
+    let q = quantize_model(&m, &ranges);
+    let plan = ExecPlan::lower(&q);
+    let batch = 3;
+    let mut flat = Vec::new();
+    for i in 0..batch {
+        flat.extend(q.quantize_input(data.test.image(i)));
+    }
+    let mut bs = BatchScratch::for_model(&q, batch);
+    let mut cur = q.batch_start(&flat, batch, &mut bs);
+    let mut live: Vec<usize> = Vec::new();
+    let mut releases = 0;
+    while let Some(k) = cur.next_conv_ordinal() {
+        // A fresh destination, so its capacities track what it holds.
+        let mut next = BatchCheckpoint::empty();
+        q.batch_advance_into(&cur, None, None, &mut bs, &mut next);
+        let range = plan.advance_range(k);
+        let mut consumed = 0;
+        for seg in &plan.segments()[range.clone()] {
+            if let Segment::Add(a) = seg {
+                consumed += plan.stash_lens()[a.slot];
+                live.retain(|&s| s != a.slot);
+            }
+            live.extend_from_slice(seg.stash_slots());
+        }
+        let act = plan.segments()[range.end - 1].out_len();
+        let held: usize = live.iter().map(|&s| plan.stash_lens()[s]).sum();
+        let bytes = next.resident_bytes();
+        assert!(
+            bytes >= (batch * (act + held)) as u64,
+            "conv {k}: live state missing"
+        );
+        if consumed > 0 {
+            releases += 1;
+            assert!(
+                bytes < (batch * (act + held + consumed)) as u64,
+                "conv {k}: consumed stash still held ({bytes} bytes)"
+            );
+            assert!(bytes < cur.resident_bytes(), "conv {k}: bytes did not fall");
+        }
+        cur = next;
+    }
+    assert!(cur.is_complete());
+    assert_eq!(releases, 2, "both residual joins release their stash");
+    assert!(live.is_empty());
+}
+
 /// The GAP-headed zoo model runs end-to-end through every engine, the DSE
 /// and the analytic estimators (the "one segment executor per backend"
 /// acceptance check for the opened layer set).
@@ -443,6 +503,7 @@ fn zoo_gap_model_reaches_all_backends() {
     let cmsis = CmsisEngine::new(&q);
     let unpacked = UnpackedEngine::new(&q, None, UnpackOptions::default());
     let xcube = XCubeEngine::new(&q);
+    let mut one = BatchScratch::for_model(&q, 1);
     for i in 0..6 {
         let img = data.test.image(i);
         let want = q.forward(img);
@@ -450,9 +511,9 @@ fn zoo_gap_model_reaches_all_backends() {
         assert_eq!(unpacked.infer(img).0, want, "unpacked img {i}");
         assert_eq!(xcube.infer(img).0, want, "xcube img {i}");
         assert_eq!(
-            q.forward_compiled(&q.quantize_input(img), None),
+            q.forward_compiled_batch_scratch(&q.quantize_input(img), 1, None, None, &mut one),
             want,
-            "compiled img {i}"
+            "batch-1 img {i}"
         );
     }
     // Cycle accounting covers the GAP segment in engine and estimator alike.
